@@ -7,15 +7,11 @@ wall-clock times plus the speedup into ``BENCH_matrix.json`` at the
 repository root.  The warm/cold ratio is the headline number for the
 caching layer; the ISSUE's acceptance bar is a ≥10× warm speedup.
 
-A second benchmark times the same cold slice under the flattened v1
-inner loop (``REPRO_SIM_FASTPATH=1``) and the vectorized batch kernel
-(``REPRO_SIM_FASTPATH=2``) and records the v2-over-v1 speedup next to
-the caching numbers.  The tiers are bit-identical (``tests/diff``), so
-this is a pure like-for-like inner-loop comparison.
-
-A third benchmark compares v1 against the *relaxed* batch kernel
-(tier 3, DESIGN §13).  The env var deliberately clamps to tier 2 —
-ambient config must never relax results — so the v3 slice is timed
+A second benchmark compares the tier-1 loop (v1) against the *relaxed*
+batch kernel (tier 3, DESIGN §13) and records the v3-over-v1 speedup
+next to the caching numbers.  The env var deliberately clamps to tier 2
+(which runs tier 1) — ambient config must never relax results — so the
+v3 slice is timed
 through explicit ``ScenarioSpec(fastpath=3)`` cells via ``run_spec``,
 and every timed run's executed tier is asserted so a silent fallback
 cannot fake the speedup.
@@ -27,7 +23,6 @@ pick the worker count with ``REPRO_BENCH_JOBS`` (default: serial).
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -37,7 +32,6 @@ from repro.experiments.runner import clear_trace_cache, run_matrix, run_spec
 from repro.resil.atomic import atomic_write_json
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim import cache as sim_cache
-from repro.sim.config import FASTPATH_ENV
 
 #: Default acceptance slice: one app per pattern type.
 DEFAULT_APPS = ["BFS", "STN", "HOT"]
@@ -97,8 +91,8 @@ def _merge_into_output(fragment: dict) -> None:
 def _merge_fastpath(updates: dict) -> None:
     """Merge into the nested ``fastpath`` record, keeping sibling keys.
 
-    The v1/v2 and v1/v3 benchmarks both write under ``fastpath``; a
-    plain top-level update would clobber whichever ran first.
+    A plain top-level update from the cold/warm bench would clobber the
+    ``fastpath`` record, and vice versa.
     """
     existing = _read_output().get("fastpath")
     merged = dict(existing) if isinstance(existing, dict) else {}
@@ -134,58 +128,16 @@ def test_matrix_cold_vs_warm(tmp_path):
     assert warm < cold
 
 
-def test_matrix_fastpath_v1_vs_v2(tmp_path):
-    """Cold inner-loop wall-clock: flattened v1 vs. batch-kernel v2.
-
-    The result cache is disabled for the whole comparison (we are
-    timing the simulator, not the cache) and a warm-up pass builds the
-    traces first so neither timed run pays trace generation.
-    """
-    jobs = bench_jobs()
-    previous_dir = sim_cache.cache_dir()
-    previous_enabled = sim_cache.cache_enabled()
-    previous_level = os.environ.get(FASTPATH_ENV)
-    sim_cache.configure(enabled=False, directory=tmp_path)
-    clear_trace_cache()
-    try:
-        _timed_matrix(jobs)  # warm-up: trace build + import costs
-        os.environ[FASTPATH_ENV] = "1"
-        v1 = _timed_matrix(jobs)
-        os.environ[FASTPATH_ENV] = "2"
-        v2 = _timed_matrix(jobs)
-    finally:
-        if previous_level is None:
-            os.environ.pop(FASTPATH_ENV, None)
-        else:
-            os.environ[FASTPATH_ENV] = previous_level
-        sim_cache.configure(enabled=previous_enabled, directory=previous_dir)
-    updates = {
-        "apps": bench_apps() or DEFAULT_APPS,
-        "policies": POLICIES,
-        "rates": RATES,
-        "scale": bench_scale(),
-        "jobs": jobs,
-        "v1_seconds": round(v1, 4),
-        "v2_seconds": round(v2, 4),
-        "v2_over_v1_speedup": round(v1 / v2, 2) if v2 else float("inf"),
-    }
-    _merge_fastpath(updates)
-    print()
-    print(f"matrix inner loop: v1 {v1:.3f}s, v2 {v2:.3f}s "
-          f"({updates['v2_over_v1_speedup']}x) "
-          f"-> {OUTPUT.name}")
-    assert v1 > 0 and v2 > 0
-
-
 def test_matrix_fastpath_v1_vs_v3(tmp_path):
     """Cold inner-loop wall-clock: flattened v1 vs. relaxed-tier v3.
 
-    Unlike v1 vs. v2 this is *not* a like-for-like comparison — tier 3
-    is only metric-equivalent within the DESIGN §13 tolerances (the
+    This is *not* a like-for-like comparison — tier 3 is only
+    metric-equivalent within the DESIGN §13 tolerances (the
     tolerance gate lives in ``tests/diff/test_tolerance.py``).  The
     slice is timed serially through ``run_spec`` because tier 3 must be
     requested explicitly per spec; the env var clamps to tier 2.
     """
+    jobs = bench_jobs()
     previous_dir = sim_cache.cache_dir()
     previous_enabled = sim_cache.cache_enabled()
     sim_cache.configure(enabled=False, directory=tmp_path)
@@ -200,10 +152,14 @@ def test_matrix_fastpath_v1_vs_v3(tmp_path):
     # speedup, so the executed tiers are part of the bench contract.
     assert v1_tiers == {1}, v1_tiers
     assert v3_tiers == {3}, v3_tiers
-    # v1 is re-timed here (not reused from the v1-vs-v2 record) because
-    # this bench runs per-spec serial loops, not the matrix engine; the
-    # baseline is recorded so the schema check can cross-validate.
+    # This bench runs per-spec serial loops, not the matrix engine; the
+    # v1 baseline is recorded so the schema check can cross-validate.
     updates = {
+        "apps": bench_apps() or DEFAULT_APPS,
+        "policies": POLICIES,
+        "rates": RATES,
+        "scale": bench_scale(),
+        "jobs": jobs,
         "v1_serial_seconds": round(v1, 4),
         "v3_seconds": round(v3, 4),
         "v3_over_v1_speedup": round(v1 / v3, 2) if v3 else float("inf"),

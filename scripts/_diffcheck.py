@@ -1,6 +1,7 @@
-"""Ad-hoc ref vs v1 vs v2 equivalence smoke check (dev aid, not a test).
+"""Ad-hoc reference vs tier-1 equivalence smoke check (dev aid, not a test).
 
-Replays the *real application* traces across all three simulator tiers.
+Replays the *real application* traces through both bit-identical
+simulator tiers.
 The supported differential harness — synthetic generators, eviction-
 sequence recording, auto-shrinking, goldens — is ``hpe-repro diff`` and
 ``tests/diff/``; this script stays as a quick full-suite sweep.
@@ -39,17 +40,12 @@ def main():
             for rate in rates:
                 ref = run_level(app, pol, rate, 0)
                 v1 = run_level(app, pol, rate, 1)
-                v2 = run_level(app, pol, rate, 2)
-                ok1 = v1 == ref
-                ok2 = v2 == ref
-                if not (ok1 and ok2):
+                if v1 != ref:
                     bad += 1
-                    print(f"{app:4s} {pol:10s} {rate}: MISMATCH "
-                          f"(v1={'ok' if ok1 else 'BAD'} v2={'ok' if ok2 else 'BAD'})")
-                    target = v1 if not ok1 else v2
-                    for k in sorted(set(ref) | set(target)):
-                        if ref.get(k) != target.get(k):
-                            print(f"    {k}: ref={ref.get(k)} got={target.get(k)}")
+                    print(f"{app:4s} {pol:10s} {rate}: MISMATCH")
+                    for k in sorted(set(ref) | set(v1)):
+                        if ref.get(k) != v1.get(k):
+                            print(f"    {k}: ref={ref.get(k)} got={v1.get(k)}")
                 else:
                     print(f"{app:4s} {pol:10s} {rate}: OK")
     print("FAILURES:", bad)

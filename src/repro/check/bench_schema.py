@@ -6,10 +6,10 @@ edit cannot silently drop a metric the dashboards read.  Mirrors
 :mod:`repro.serve.bench_schema` (the ``BENCH_service.json`` checker):
 a small hand-rolled walker over required keys, types, and bounds.
 
-The ``fastpath`` section must carry all three recorded tiers — v1, v2
-(bit-identical batch kernel), and v3 (the relaxed tier, DESIGN §13) —
-and each ``*_over_v1_speedup`` must be consistent with the recorded
-seconds, so a stale hand-edit of one field is caught.
+The ``fastpath`` section must carry the v1-vs-v3 comparison (v3 is the
+relaxed tier, DESIGN §13), and ``v3_over_v1_speedup`` must be
+consistent with the recorded seconds, so a stale hand-edit of one field
+is caught.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ _TOP_NUMERIC_FIELDS: dict[str, float] = {
 _FASTPATH_NUMERIC_FIELDS: dict[str, float] = {
     "scale": 0.01,
     "jobs": 1,
-    "v1_seconds": 0,
-    "v2_seconds": 0,
-    "v2_over_v1_speedup": 0,
     "v1_serial_seconds": 0,
     "v3_seconds": 0,
     "v3_over_v1_speedup": 0,
@@ -53,7 +50,6 @@ _SPEEDUP_SLACK = 0.05
 #: (speedup field, numerator field, denominator field) consistency
 #: triples inside the ``fastpath`` record.
 _SPEEDUP_TRIPLES = (
-    ("v2_over_v1_speedup", "v1_seconds", "v2_seconds"),
     # v3 is benched against its own serial baseline (per-spec loops,
     # not the matrix engine), recorded as v1_serial_seconds.
     ("v3_over_v1_speedup", "v1_serial_seconds", "v3_seconds"),
@@ -117,7 +113,6 @@ def validate_bench_matrix(data: object) -> list[str]:
          "fastpath": {
              "apps": [...], "policies": [...], "rates": [...],
              "scale": x, "jobs": N,
-             "v1_seconds": x, "v2_seconds": x, "v2_over_v1_speedup": x,
              "v1_serial_seconds": x, "v3_seconds": x,
              "v3_over_v1_speedup": x,
          }}

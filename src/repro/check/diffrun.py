@@ -1,22 +1,21 @@
-"""Differential execution: one run, four loops, bounded drift.
+"""Differential execution: one run, three loops, bounded drift.
 
-The simulator has four inner loops — the reference oracle (tier 0),
-the flattened v1 loop (tier 1), the vectorized batch kernel (tier 2,
-:mod:`repro.sim.fastpath2`), and the relaxed *metric-equivalent*
-kernel (tier 3, :mod:`repro.sim.fastpath3`).  This module replays the
+The simulator has three inner loops — the reference oracle (tier 0),
+the flattened loop with its fused fault service (tier 1), and the
+relaxed *metric-equivalent* kernel (tier 3, :mod:`repro.sim.fastpath3`).
+This module replays the
 same trace through any subset of them and reports every observable
 difference:
 
 * ``key_metrics()`` (the determinism-digest payload);
-* the **eviction sequence** (victim pages in eviction order — batching
-  must not reorder evictions, DESIGN.md §9);
+* the **eviction sequence** (victim pages in eviction order);
 * final structural state: frame map, valid page-table entries, and the
   exact per-set LRU order of every TLB;
-* optionally the **observation event stream** (observed runs are not
-  batch-eligible, so tier 2 must fall back to the v1 loop and still
-  produce the identical stream).
+* optionally the **observation event stream** (observed runs take the
+  per-fault ``driver.service_fault`` call instead of the fused fault
+  service and must still produce the identical stream).
 
-Tiers 0–2 are compared for **equality** (:func:`compare_levels`).
+Tiers 0 and 1 are compared for **equality** (:func:`compare_levels`).
 Tier 3 is compared under the declared §13 tolerance table instead
 (:func:`compare_relaxed`): a fixed set of identity metrics must stay
 exact, every drifting metric must land inside its
@@ -47,7 +46,8 @@ from repro.sim.results import SimulationResult
 class _RecordingChain(OrderedDict):
     """An LRU chain that logs left-end pops (= LRU victim selections).
 
-    The batch kernel inlines the stock LRU policy's victim pop
+    The fused fault service (and the relaxed kernel) inline the stock
+    LRU policy's victim pop
     (``_chain.popitem(last=False)``) without calling
     ``select_victim``, so recording at the chain level sees every
     eviction on every tier through the same probe.
@@ -127,8 +127,8 @@ class DiffReport:
 def _structural_state(sim: UVMSimulator) -> tuple:
     """(frame map, valid PTEs, per-set TLB orders) after a run.
 
-    Invalid page-table tombstones are excluded: the v2 kernel deletes
-    and reuses them (observably identical — the collector reads
+    Invalid page-table tombstones are excluded: the fused fault service
+    deletes and reuses them (observably identical — the collector reads
     counters, never entry identity), so only *valid* translations are
     part of the equivalence contract.
     """
@@ -199,7 +199,7 @@ def compare_levels(
     policy_name: str,
     capacity: int,
     *,
-    levels: Sequence[int] = (0, 1, 2),
+    levels: Sequence[int] = (0, 1),
     seed: int = 7,
     observe: bool = False,
     sanitize: bool = False,
@@ -468,7 +468,7 @@ def shrink_failure(
     policy_name: str,
     capacity: int,
     *,
-    levels: Sequence[int] = (0, 1, 2),
+    levels: Sequence[int] = (0, 1),
     seed: int = 7,
     still_fails: "Optional[Callable[[list[int]], bool]]" = None,
 ) -> "list[int]":

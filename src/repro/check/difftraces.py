@@ -1,9 +1,11 @@
 """Seeded synthetic traces for the differential-testing harness.
 
-The ``tests/diff`` harness replays every trace here through the three
-equivalent simulator loops (reference, v1, v2 — see
-:mod:`repro.sim.fastpath2`) and asserts bit-identical results.  Each
-generator stresses a different part of the batch kernel:
+The ``tests/diff`` harness replays every trace here through the two
+equivalent simulator loops (the tier-0 reference and the tier-1 loop
+with its fused fault service) and asserts bit-identical results; the
+relaxed tier-3 kernel is gated against them under tolerances.  The
+generators were shaped for the segmenting batch kernels, and each
+stresses a different path of tier 3:
 
 ``phased``
     Long distinct-page phases with periodic revisits — maximal
@@ -99,7 +101,7 @@ def pointer_chase(seed: int, length: int = DEFAULT_LENGTH) -> Trace:
 
 
 def adversarial(seed: int, length: int = DEFAULT_LENGTH) -> Trace:
-    """Division-heavy worst case for the segmenting batch kernel."""
+    """Division-heavy worst case for the segmenting relaxed kernel."""
     rng = random.Random(f"{seed}:adversarial")
     pages: list[int] = []
     l2_sets = 32  # the default L2 TLB geometry (512 entries, 16-way)

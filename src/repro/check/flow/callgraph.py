@@ -4,7 +4,7 @@ Resolution order for a call site, most precise first:
 
 1. **Direct names** — imported symbols, module-level functions, class
    constructors (edges to ``__init__`` / dataclass ``__post_init__``).
-2. **Module attributes** — ``fastpath2.replay(...)`` through an import.
+2. **Module attributes** — ``fastpath3.replay(...)`` through an import.
 3. **Typed receivers** — ``self``, annotated parameters, and simple
    assignment propagation (:func:`~repro.check.flow.model.infer_receiver_types`),
    with class-hierarchy fan-out: a call through an ``EvictionPolicy``
@@ -191,7 +191,7 @@ class _FunctionResolver:
     def _edge_via_receiver(self, receiver: str, attr: str) -> bool:
         """Edges for ``receiver.attr(...)``; True when resolved."""
         program = self.program
-        # Imported module or class attribute (fastpath2.replay, C.build).
+        # Imported module or class attribute (fastpath3.replay, C.build).
         qualname = program.resolve(self.module, f"{receiver}.{attr}")
         if qualname is not None:
             if qualname in program.functions:

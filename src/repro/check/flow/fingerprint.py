@@ -6,7 +6,7 @@ cache fingerprint does not capture must not change behaviour without a
 machine-checked gate:
 
 1. compute the transitive call-graph closure from the simulation entry
-   points (``sim.engine``, ``sim.fastpath2``, ``policies.*``, ``tlb.*``,
+   points (``sim.engine``, ``policies.*``, ``tlb.*``,
    ``uvm.*``, ``workloads.*``);
 2. hash every closure function's *normalized* AST (docstrings stripped,
    positions ignored — comments and formatting never churn the digest),

@@ -126,7 +126,6 @@ class FlowConfig:
     #: Every def in these modules seeds the fault-path closure.
     entry_modules: tuple[str, ...] = (
         "sim.engine",
-        "sim.fastpath2",
         "policies.*",
         "tlb.*",
         "uvm.*",

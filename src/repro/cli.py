@@ -117,8 +117,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fastpath", type=int, default=None,
                         choices=(0, 1, 2), metavar="LEVEL",
                         help="simulator inner-loop tier: 0=reference, "
-                             "1=flattened, 2=vectorized batch kernel "
-                             "(same as REPRO_SIM_FASTPATH; default 2). "
+                             "1=flattened loop with fused fault service "
+                             "(default); 2 is accepted and runs tier 1 "
+                             "(same as REPRO_SIM_FASTPATH). "
                              "The relaxed tier 3 is never ambient: request "
                              "it per spec via run_spec/ScenarioSpec or "
                              "'hpe-repro diff --relaxed' (DESIGN §13)")
@@ -707,11 +708,11 @@ def _expected_tier(requested: int, policy: str, sanitize: bool) -> int:
     silent one (kernel eligibility regressed and the matrix quietly
     compared a tier against itself).
     """
-    if requested <= 1:
+    if requested >= 3 and not sanitize and policy != "ideal":
         return requested
-    if sanitize or policy == "ideal":
-        return 1  # needs live per-event state / future trace positions
-    return requested
+    # Tier 2 (the removed batch kernel) runs tier 1; tier 3 needs no
+    # live per-event state and no future trace positions.
+    return min(requested, 1)
 
 
 def _run_diff(args: argparse.Namespace) -> int:

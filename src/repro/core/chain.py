@@ -51,6 +51,11 @@ class PageSetChain:
         self._chain = ArrayChain()
 
     @property
+    def slots(self) -> ArrayChain:
+        """The backing :class:`ArrayChain` (for in-place hot-path scans)."""
+        return self._chain
+
+    @property
     def intervals(self) -> int:
         """Number of completed intervals (partition advances)."""
         return self._chain.intervals

@@ -41,7 +41,12 @@ from repro.core.pageset import (
     primary_key,
     secondary_key,
 )
-from repro.core.strategies import SearchResult, StrategyKind, select
+from repro.core.strategies import (
+    SearchResult,
+    StrategyKind,
+    mru_c_scan,
+    select,
+)
 from repro.memory.addressing import PageSetGeometry
 from repro.obs import finite_or_none as _finite_or_none
 
@@ -141,6 +146,13 @@ class HPEPolicy(EvictionPolicy):
         self._use_hir = config.use_hir
         self._transfer_interval = config.transfer_interval
         self._interval_length = config.interval_length
+        self._page_set_size = config.page_set_size
+        self._set_shift = self.geometry.shift
+        self._offset_mask = self.geometry.offset_mask
+        self._division_threshold = config.division_threshold
+        #: The chain's plain-list backing store, called directly on the
+        #: per-fault paths (one method hop instead of two).
+        self._slots = self.chain.slots
 
     # ------------------------------------------------------------------
     # Observability
@@ -219,33 +231,27 @@ class HPEPolicy(EvictionPolicy):
     # Routing (Fig. 6 steps 1–4)
     # ------------------------------------------------------------------
 
-    def _route(self, tag: int, offset: int) -> tuple[tuple[int, SetPart], int, bool]:
-        """Return ``(chain key, member mask for creation, divided flag)``.
-
-        Consults the history buffer first (the page set was previously
-        evicted), then any live divided primary, defaulting to the
-        undivided primary.
-        """
-        key, _entry, mask, divided = self._route_entry(tag, offset)
-        return key, mask, divided
-
     def _route_entry(
         self, tag: int, offset: int
     ) -> tuple[tuple[int, SetPart], Optional[PageSetEntry], int, bool]:
-        """:meth:`_route` plus the already-fetched live entry (or ``None``).
+        """Return ``(chain key, live entry or None, member mask for
+        creation, divided flag)``.
 
-        The routing decision needs the live primary anyway; returning it
-        saves the fault path a second three-partition chain search.
+        Consults the history buffer first (the page set was previously
+        evicted), then any live divided primary, defaulting to the
+        undivided primary.  The live entry comes back with the key so
+        callers need no second chain lookup.
         """
+        chain_get = self._slots.get
         hist = self.history.primary_mask(tag)
         if hist is not None:
             if (hist >> offset) & 1:
                 key = primary_key(tag)
-                return key, self.chain.get(key), hist, True
+                return key, chain_get(key), hist, True
             key = secondary_key(tag)
-            return key, self.chain.get(key), self._full_mask & ~hist, True
+            return key, chain_get(key), self._full_mask & ~hist, True
         key = primary_key(tag)
-        live = self.chain.get(key)
+        live = chain_get(key)
         if (
             live is not None
             and live.divided
@@ -254,27 +260,11 @@ class HPEPolicy(EvictionPolicy):
             key = secondary_key(tag)
             return (
                 key,
-                self.chain.get(key),
+                chain_get(key),
                 self._full_mask & ~live.member_mask,
                 True,
             )
         return key, live, self._full_mask, False
-
-    def _get_or_create(
-        self, key: tuple[int, SetPart], member_mask: int, divided: bool
-    ) -> PageSetEntry:
-        entry = self.chain.get(key)
-        if entry is not None:
-            return entry
-        entry = PageSetEntry(
-            tag=key[0],
-            page_set_size=self.config.page_set_size,
-            part=key[1],
-            member_mask=member_mask,
-            divided=divided and key[1] is SetPart.PRIMARY,
-        )
-        self.chain.insert(entry)
-        return entry
 
     def _maybe_divide(self, entry: PageSetEntry) -> None:
         if not self.config.enable_division:
@@ -313,15 +303,15 @@ class HPEPolicy(EvictionPolicy):
             apply_touch(tag, offset, 1)
 
     def _apply_hit_touch(self, tag: int, offset: int, count: int) -> None:
-        key, _mask, _divided = self._route(tag, offset)
-        entry = self.chain.get(key)
+        key, entry, _mask, _divided = self._route_entry(tag, offset)
         if entry is None:
             # Stale information: the set was fully evicted between the hit
             # being recorded and the transfer arriving.  Drop it.
             return
         entry.touch(count)
-        self.chain.promote(key)
-        self._maybe_divide(entry)
+        self._slots.promote(key)
+        if entry.counter >= self._division_threshold:
+            self._maybe_divide(entry)
 
     def _ingest_hir(self) -> None:
         payload = self.hir.transfer()
@@ -351,21 +341,24 @@ class HPEPolicy(EvictionPolicy):
             adjustment.on_fault(page)
         if self._use_hir and stats.faults % self._transfer_interval == 0:
             self._ingest_hir()
-        tag, offset = self.geometry.split(page)
+        tag = page >> self._set_shift
+        offset = page & self._offset_mask
         key, entry, member_mask, divided = self._route_entry(tag, offset)
         if entry is None:
             entry = PageSetEntry(
                 tag=tag,
-                page_set_size=self.config.page_set_size,
+                page_set_size=self._page_set_size,
                 part=key[1],
                 member_mask=member_mask,
                 divided=divided and key[1] is SetPart.PRIMARY,
             )
-            self.chain.insert(entry)
+            self._slots.insert(key, entry)
         entry.record_fault(offset)
         self._resident_pages += 1
-        self.chain.promote(key)
-        self._maybe_divide(entry)
+        self._slots.promote(key)
+        # _maybe_divide acts only at or above the threshold.
+        if entry.counter >= self._division_threshold:
+            self._maybe_divide(entry)
         if stats.faults % self._interval_length == 0:
             self.chain.advance_interval()
             if adjustment is not None:
@@ -436,31 +429,34 @@ class HPEPolicy(EvictionPolicy):
     def select_victim(self) -> int:
         if self.classification is None:
             self._classify_now()
+        adjustment = self.adjustment
         strategy = self._current_strategy()
-        jump = 0
-        if strategy is StrategyKind.MRU_C and self.adjustment is not None:
-            jump = self.adjustment.jump
-        result: SearchResult = select(
-            strategy, self.chain, self.config.page_set_size, jump
-        )
-        if result.entry is None:
+        if strategy is StrategyKind.MRU_C:
+            entry, comparisons = mru_c_scan(
+                self.chain,
+                self._page_set_size,
+                adjustment.jump if adjustment is not None else 0,
+            )
+        else:
+            entry = self.chain.lru_entry()
+            comparisons = 1
+        if entry is None:
             raise PolicyError("HPE chain is empty; nothing to evict")
-        self.stats.searches += 1
-        self.stats.comparisons_total += result.comparisons
-        self.stats.comparisons_max = max(
-            self.stats.comparisons_max, result.comparisons
-        )
-        entry = result.entry
+        stats = self.stats
+        stats.searches += 1
+        stats.comparisons_total += comparisons
+        if comparisons > stats.comparisons_max:
+            stats.comparisons_max = comparisons
         offset = entry.lowest_resident_offset()
-        page = self.geometry.first_page_of(entry.tag) + offset
+        page = (entry.tag << self._set_shift) + offset
         entry.mark_evicted(offset)
         self._resident_pages -= 1
-        if entry.resident_count == 0:
+        if not entry.resident_mask:
             self.chain.remove(entry.key)
             if entry.divided and entry.part is SetPart.PRIMARY:
                 self.history.record(entry.tag, entry.member_mask)
-        if self.adjustment is not None:
-            self.adjustment.on_eviction(page)
+        if adjustment is not None:
+            adjustment.on_eviction(page)
         return page
 
     def select_victims_batch(self, count: int) -> list[int]:

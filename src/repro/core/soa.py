@@ -51,10 +51,11 @@ def numpy_available() -> bool:
 class ArrayChain:
     """Index-linked three-partition recency chain over arbitrary payloads.
 
-    Slots live in flat ``prev``/``next`` integer arrays (numpy when
-    available).  Each of the three partitions (*old*, *middle*, *new*)
-    is a doubly-linked list threaded through those arrays with its own
-    head/tail; a single ``key -> slot`` dict serves every lookup.
+    Slots live in flat ``prev``/``next`` plain-list integer arrays, so
+    element reads stay Python ints with no numpy scalar boxing.  Each of
+    the three partitions (*old*, *middle*, *new*) is a doubly-linked
+    list threaded through those arrays with its own head/tail; a single
+    ``key -> slot`` dict serves every lookup.
 
     The partition holding a slot is not stored — it is derived from the
     slot's interval *stamp*: a slot stamped in the current interval is
@@ -75,14 +76,9 @@ class ArrayChain:
 
     def __init__(self, initial_capacity: int = 16) -> None:
         capacity = max(1, initial_capacity)
-        if np is not None:
-            self._prev = np.full(capacity, -1, dtype=np.int64)
-            self._next = np.full(capacity, -1, dtype=np.int64)
-            self._stamp = np.zeros(capacity, dtype=np.int64)
-        else:  # pragma: no cover - numpy-free fallback, same semantics
-            self._prev = [-1] * capacity
-            self._next = [-1] * capacity
-            self._stamp = [0] * capacity
+        self._prev: List[int] = [-1] * capacity
+        self._next: List[int] = [-1] * capacity
+        self._stamp: List[int] = [0] * capacity
         self._payloads: List[Any] = [None] * capacity
         self._keys: List[Any] = [None] * capacity
         self._slot: Dict[Any, int] = {}
@@ -117,7 +113,7 @@ class ArrayChain:
         return counts[OLD], counts[MIDDLE], counts[NEW]
 
     def _partition_of_slot(self, slot: int) -> int:
-        delta = self.intervals - int(self._stamp[slot])
+        delta = self.intervals - self._stamp[slot]
         if delta <= 0:
             return NEW
         if delta == 1:
@@ -141,16 +137,9 @@ class ArrayChain:
     def _grow(self) -> None:
         old_capacity = len(self._payloads)
         new_capacity = old_capacity * 2
-        if np is not None:
-            for name in ("_prev", "_next", "_stamp"):
-                old_arr = getattr(self, name)
-                arr = np.full(new_capacity, -1, dtype=np.int64)
-                arr[:old_capacity] = old_arr
-                setattr(self, name, arr)
-        else:  # pragma: no cover - numpy-free fallback
-            self._prev.extend([-1] * old_capacity)
-            self._next.extend([-1] * old_capacity)
-            self._stamp.extend([0] * old_capacity)
+        self._prev.extend([-1] * old_capacity)
+        self._next.extend([-1] * old_capacity)
+        self._stamp.extend([0] * old_capacity)
         self._payloads.extend([None] * old_capacity)
         self._keys.extend([None] * old_capacity)
         self._free.extend(range(new_capacity - 1, old_capacity - 1, -1))
@@ -167,8 +156,8 @@ class ArrayChain:
         self._counts[partition] += 1
 
     def _unlink(self, slot: int, partition: int) -> None:
-        prev_slot = int(self._prev[slot])
-        next_slot = int(self._next[slot])
+        prev_slot = self._prev[slot]
+        next_slot = self._next[slot]
         if prev_slot >= 0:
             self._next[prev_slot] = next_slot
         else:
@@ -201,7 +190,7 @@ class ArrayChain:
         slot = self._slot.get(key)
         if slot is None:
             raise KeyError(f"entry {key} is not in the chain")
-        delta = self.intervals - int(self._stamp[slot])
+        delta = self.intervals - self._stamp[slot]
         if delta <= 0:
             return self._payloads[slot]
         self._unlink(slot, MIDDLE if delta == 1 else OLD)
@@ -259,14 +248,14 @@ class ArrayChain:
         nxt = self._next
         while slot >= 0:
             yield slot
-            slot = int(nxt[slot])
+            slot = nxt[slot]
 
     def _iter_list_reversed(self, partition: int) -> Iterator[int]:
         slot = self._tails[partition]
         prev = self._prev
         while slot >= 0:
             yield slot
-            slot = int(prev[slot])
+            slot = prev[slot]
 
     def iter_payloads_lru(self) -> Iterator[Any]:
         """All payloads, least recent first: old, then middle, then new."""
@@ -293,6 +282,17 @@ class ArrayChain:
         payloads = self._payloads
         for slot in self._iter_list(partition):
             yield keys[slot], payloads[slot]
+
+    def old_mru_first_links(self) -> Tuple[int, List[int], List[Any], int]:
+        """``(slot, prev, payloads, size)`` for an in-place walk of *old*.
+
+        Start at ``slot`` (the MRU end of the old partition, ``-1`` when
+        empty) and follow ``slot = prev[slot]`` while ``slot >= 0``; the
+        walk visits exactly :meth:`iter_partition_reversed` ``(OLD)``'s
+        slots without a generator frame per step.  Callers must not
+        mutate the returned lists.
+        """
+        return self._tails[OLD], self._prev, self._payloads, self._counts[OLD]
 
     def first_payload(self) -> Optional[Any]:
         """The least-recent payload (old → middle → new priority)."""

@@ -32,6 +32,12 @@ class StrategyKind(enum.Enum):
     LRU = "lru"
     MRU_C = "mru-c"
 
+    # DynamicAdjustment keys its per-strategy dicts by kind on every
+    # eviction and fault; Enum.__hash__ is a Python-level call, and
+    # members are singletons (also under pickle), so the C-level
+    # identity hash is safe — as for SetPart.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class SearchResult:
@@ -48,34 +54,52 @@ def select_lru(chain: PageSetChain) -> SearchResult:
     return SearchResult(entry=entry, comparisons=1 if entry else 0)
 
 
+def mru_c_scan(
+    chain: PageSetChain,
+    page_set_size: int,
+    jump: int = 0,
+) -> tuple[Optional[PageSetEntry], int]:
+    """MRU-C over the **old** partition; return ``(entry, comparisons)``.
+
+    Walks the old partition's slot links in place, starting ``jump``
+    sets in from the MRU end, and allocates nothing — HPE's per-eviction
+    path calls this directly.  Falls back to the least-recent entry of
+    the middle/new partitions when the old partition is empty (the
+    paper: "If the old partition becomes empty, LRU is used to select
+    eviction candidates in the middle partition or new partition").
+    """
+    slot, prev, payloads, old_size = chain.slots.old_mru_first_links()
+    if old_size == 0:
+        entry = chain.lru_entry()
+        return entry, 0 if entry is None else 1
+    # A jump past the end of the partition saturates at the LRU end
+    # rather than wrapping back to the (hot) MRU end.
+    for _ in range(min(jump, old_size - 1)):
+        slot = prev[slot]
+    comparisons = 0
+    best: Optional[PageSetEntry] = None
+    best_counter = 0
+    while slot >= 0:
+        entry = payloads[slot]
+        comparisons += 1
+        counter = entry.counter
+        if counter == page_set_size:
+            return entry, comparisons
+        if best is None or counter < best_counter:
+            best = entry
+            best_counter = counter
+        slot = prev[slot]
+    return best, comparisons
+
+
 def select_mru_c(
     chain: PageSetChain,
     page_set_size: int,
     jump: int = 0,
 ) -> SearchResult:
-    """MRU-C over the **old** partition, starting ``jump`` sets in.
-
-    Falls back to the least-recent entry of the middle/new partitions when
-    the old partition is empty (the paper: "If the old partition becomes
-    empty, LRU is used to select eviction candidates in the middle
-    partition or new partition").
-    """
-    if chain.old_size == 0:
-        return select_lru(chain)
-    # A jump past the end of the partition saturates at the LRU end
-    # rather than wrapping back to the (hot) MRU end.
-    effective_jump = min(jump, chain.old_size - 1)
-    comparisons = 0
-    best: Optional[PageSetEntry] = None
-    for index, entry in enumerate(chain.iter_old_mru_first()):
-        if index < effective_jump:
-            continue
-        comparisons += 1
-        if entry.counter == page_set_size:
-            return SearchResult(entry=entry, comparisons=comparisons)
-        if best is None or entry.counter < best.counter:
-            best = entry
-    return SearchResult(entry=best, comparisons=comparisons)
+    """:func:`mru_c_scan` wrapped in a :class:`SearchResult`."""
+    entry, comparisons = mru_c_scan(chain, page_set_size, jump)
+    return SearchResult(entry=entry, comparisons=comparisons)
 
 
 def select(

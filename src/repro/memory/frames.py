@@ -36,7 +36,8 @@ class FramePool:
         self._page_of_frame: dict[int, int] = {}
         #: Flat residency view (one bool per page) kept in lockstep with
         #: ``_frame_of_page`` — by :meth:`map_page`/:meth:`unmap_page`
-        #: here and by the batch kernels' inlined fault paths.  Vector
+        #: here, by the relaxed kernel's inlined fault path, and by a
+        #: resync after the tier-1 loop's fused fault service.  Vector
         #: consumers index it directly; the invariant sanitizer asserts
         #: it always mirrors the dict.
         self.residency = Bitmap()

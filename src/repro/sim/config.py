@@ -25,12 +25,12 @@ from repro.uvm.pcie import PCIeLink
 #: Environment variable selecting the simulator inner-loop tier.
 FASTPATH_ENV = "REPRO_SIM_FASTPATH"
 
-#: Default tier: the vectorized batch kernel (with automatic fallback to
-#: the flattened v1 loop when a run is not batch-eligible).
-DEFAULT_FASTPATH_LEVEL = 2
+#: Default tier: the flattened loop with its fused fault service.
+DEFAULT_FASTPATH_LEVEL = 1
 
 
-#: Highest selectable tier.  Tiers 0–2 are bit-identical; tier 3 is the
+#: Highest selectable tier.  Tiers 0–2 are bit-identical (a tier-2
+#: request runs tier 1 since the batch kernel was removed); tier 3 is the
 #: *metric-equivalent* relaxed kernel (DESIGN §13) and must be opted
 #: into explicitly — it is never the default.
 MAX_FASTPATH_LEVEL = 3
@@ -39,11 +39,12 @@ MAX_FASTPATH_LEVEL = 3
 def resolve_fastpath_level(fast: Optional[Union[bool, int]] = None) -> int:
     """Resolve the requested fastpath tier to an integer level.
 
-    Levels: ``0`` — reference loop; ``1`` — flattened v1 loop; ``2`` —
-    vectorized batch kernel (v2) with per-run eligibility fallback to
-    v1; ``3`` — the relaxed *metric-equivalent* kernel (v3, tolerance-
-    gated rather than bit-identical — DESIGN §13) with per-run
-    eligibility fallback to v2 then v1.  ``fast`` may be ``None``
+    Levels: ``0`` — reference loop; ``1`` — flattened loop with the
+    fused fault service; ``2`` — accepted for compatibility and run as
+    tier 1 (the batch kernel it named was removed, DESIGN §9); ``3`` —
+    the relaxed *metric-equivalent* kernel (v3, tolerance-gated rather
+    than bit-identical — DESIGN §13) with per-run eligibility fallback
+    to tier 1.  ``fast`` may be ``None``
     (consult :data:`FASTPATH_ENV`, default
     :data:`DEFAULT_FASTPATH_LEVEL`), a bool (the historical ``fast=``
     argument: ``True`` → default tier, ``False`` → reference), or an

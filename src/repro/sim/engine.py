@@ -28,9 +28,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import check as check_module
 from repro.check.invariants import InvariantChecker
+from repro.core.soa import Bitmap
 from repro.memory.frames import FramePool
-from repro.memory.page_table import PageTable
+from repro.memory.page_table import PageTable, PageTableEntry
 from repro.policies.base import EvictionPolicy
+from repro.policies.lru import LRUPolicy
 from repro.sim.config import GPUConfig, resolve_fastpath_level
 from repro.sim.results import SimulationResult
 from repro.tlb.hierarchy import TLBHierarchy, TranslationLevel
@@ -129,19 +131,19 @@ class UVMSimulator:
     ) -> SimulationResult:
         """Replay ``trace`` and return the collected metrics.
 
-        Four inner loops exist: the relaxed metric-equivalent kernel
-        (tier 3, explicit opt-in only — DESIGN §13), the vectorized
-        batch kernel (tier 2, the default), the flattened v1 loop
-        (tier 1), and the straightforward reference loop (tier 0).
-        Tiers 0–2 produce bit-identical results — ``tests/diff``
-        cross-checks them — and ``fast=False`` /
-        ``REPRO_SIM_FASTPATH=0`` selects the reference loop for
-        debugging, ``REPRO_SIM_FASTPATH=1`` the v1 loop.  Runs a batch
-        kernel cannot replay (observed, sanitized, offline policies,
-        prefetching) fall back tier 3 → 2 → 1; the tier that actually
-        executed is recorded in ``result.extras["fastpath"]`` so
-        callers (the diff harness, the CLI) can report fallbacks
-        instead of silently comparing a tier against itself.
+        Three inner loops exist: the relaxed metric-equivalent kernel
+        (tier 3, explicit opt-in only — DESIGN §13), the flattened loop
+        with its fused fault service (tier 1, the default), and the
+        straightforward reference loop (tier 0).  Tiers 0 and 1 produce
+        bit-identical results — ``tests/diff`` cross-checks them — and
+        ``fast=False`` / ``REPRO_SIM_FASTPATH=0`` selects the reference
+        loop for debugging.  A tier-2 request (the removed batch kernel,
+        DESIGN §9) runs tier 1, and runs tier 3 cannot replay (observed,
+        sanitized, offline policies, prefetching) fall back to tier 1;
+        the tier that actually executed is recorded in
+        ``result.extras["fastpath"]`` so callers (the diff harness, the
+        CLI) can report fallbacks instead of silently comparing a tier
+        against itself.
         """
         level = resolve_fastpath_level(fast)
         if self.policy.requires_future:
@@ -161,25 +163,15 @@ class UVMSimulator:
         started = time.monotonic()  # noqa: REP012 — extras-only timing
         executed = level
         if level >= 3:
-            from repro.sim import fastpath2, fastpath3
+            from repro.sim import fastpath3
 
             if fastpath3.eligible(self, trace):
                 cycles = fastpath3.replay(self, trace)
-            elif fastpath2.eligible(self):
-                executed = 2
-                cycles = fastpath2.replay(self, trace)
             else:
                 executed = 1
                 cycles = self._replay_fast(trace)
-        elif level == 2:
-            from repro.sim import fastpath2
-
-            if fastpath2.eligible(self):
-                cycles = fastpath2.replay(self, trace)
-            else:
-                executed = 1
-                cycles = self._replay_fast(trace)
-        elif level == 1:
+        elif level >= 1:
+            executed = 1
             cycles = self._replay_fast(trace)
         else:
             cycles = self._replay_reference(trace)
@@ -248,7 +240,7 @@ class UVMSimulator:
         return max(max(warp_ready, default=0), max(sm_issue_time, default=0))
 
     def _replay_fast(self, trace: Sequence[int]) -> int:
-        """Flattened event loop: same behaviour, far fewer dispatches.
+        """Flattened event loop with a fused fault service.
 
         Per event the reference loop pays two TLB method calls, a
         :class:`TranslationResult` allocation, an enum comparison and —
@@ -256,8 +248,19 @@ class UVMSimulator:
         probes and the page-table walk are inlined over local bindings of
         the underlying set dictionaries, outcomes stay plain ints, and
         hit/miss/eviction counters are accumulated in locals and folded
-        into the stats objects once at the end.  Fault handling (driver +
-        policy) is left untouched: that *is* the simulated behaviour.
+        into the stats objects once at the end.
+
+        When no observation, sanitizer or prefetching is attached, the
+        loop also services each fault itself with exactly the
+        :meth:`UVMDriver.service_fault` update rules: frame-pool dict
+        pop/push, PTE invalidate + install (the victim's entry object is
+        re-keyed to the incoming page), a first-touch test against a
+        local set, a shootdown probing only the victim's set in each TLB,
+        the stock :class:`LRUPolicy` chain inlined behind an exact-type
+        check and every other policy through its bound callbacks.  Driver
+        and TLB counters, the pool's residency bitmap and the driver's
+        first-touch set are resynchronised once after the loop.  Other
+        runs call ``driver.service_fault`` per fault.
         """
         config = self.config
         num_sms = config.num_sms
@@ -270,7 +273,13 @@ class UVMSimulator:
         consume_bytes = getattr(policy, "consume_transfer_bytes", None)
         track_position = policy.requires_future
         on_trace_position = policy.on_trace_position
-        service_fault = self.driver.service_fault
+        driver = self.driver
+        service_fault = driver.service_fault
+        fused = (
+            self.obs is None
+            and self.checker is None
+            and driver.prefetch_degree == 0
+        )
 
         sm_issue_time = [0] * num_sms
         warp_ready = [0] * total_warps
@@ -301,15 +310,47 @@ class UVMSimulator:
         listeners = walker._hit_listeners
         pt_entries = self.page_table._entries
 
+        # Miss, walk and walk-fault counts are derived after the loop:
+        # every L1 miss probes the L2 and every L2 miss walks.
         l1_hits = [0] * num_sms
-        l1_misses = [0] * num_sms
         l1_evictions = [0] * num_sms
+        l1_shootdowns = [0] * num_sms
         l2_hits = 0
-        l2_misses = 0
         l2_evictions = 0
-        walks = 0
+        l2_shootdowns = 0
         walk_hits = 0
-        walk_faults = 0
+
+        # Fused fault-service state (unused when ``fused`` is False).
+        frame_pool = self.frame_pool
+        frame_of_page = frame_pool._frame_of_page
+        page_of_frame = frame_pool._page_of_frame
+        free_frames = frame_pool._free
+        stats = driver.stats
+        ever_touched, page_size = driver.fastpath_state()
+        service_in = fault_cycles + transfer_cycles(page_size)
+        service_evict = fault_cycles + transfer_cycles(page_size + page_size)
+        touched = set(ever_touched)
+        first_touches: list[int] = []
+        fault_no = stats.faults
+        capacity_faults = 0
+        evictions = 0
+        # A base-class on_fault_pending is a documented no-op.
+        pending_cb = (
+            None
+            if getattr(policy.on_fault_pending, "__func__", None)
+            is EvictionPolicy.on_fault_pending
+            else policy.on_fault_pending
+        )
+        select_victim = policy.select_victim
+        on_page_in = policy.on_page_in
+        # Exact-type check: a subclass could override any hook, so only
+        # the stock LRU policy gets its chain updates inlined.
+        lru_chain = policy._chain if type(policy) is LRUPolicy else None
+        # The victim's TLB sets, grouped by set index: a shootdown probes
+        # one set per SM plus one L2 set.
+        l1_sets_by_index = [
+            [sets[index] for sets in l1_sets] for index in range(l1_mask + 1)
+        ]
 
         index = 0
         warp = total_warps - 1
@@ -335,7 +376,6 @@ class UVMSimulator:
                 l1_hits[sm] += 1
                 warp_ready[warp] = start + l1_hit_total
                 continue
-            l1_misses[sm] += 1
 
             # L2 probe.
             l2_entries = l2_sets[page & l2_mask]
@@ -350,10 +390,8 @@ class UVMSimulator:
                 entries[page] = 0
                 warp_ready[warp] = start + l2_hit_total
                 continue
-            l2_misses += 1
 
             # Page-table walk (inlined walker.walk).
-            walks += 1
             pte = pt_entries.get(page)
             if pte is not None and pte.valid:
                 walk_hits += 1
@@ -372,13 +410,77 @@ class UVMSimulator:
                 warp_ready[warp] = start + walk_hit_total
                 continue
 
-            # Page fault: driver services it serially.
-            walk_faults += 1
-            frame, _evicted, bytes_transferred = service_fault(page)
-            service = transfer_memo.get(bytes_transferred)
-            if service is None:
-                service = fault_cycles + transfer_cycles(bytes_transferred)
-                transfer_memo[bytes_transferred] = service
+            # Page fault: serviced serially.
+            if not fused:
+                frame, _evicted, moved = service_fault(page)
+                service = transfer_memo.get(moved)
+                if service is None:
+                    service = fault_cycles + transfer_cycles(moved)
+                    transfer_memo[moved] = service
+            else:
+                fault_no += 1
+                if page in touched:
+                    capacity_faults += 1
+                else:
+                    touched.add(page)
+                    first_touches.append(page)
+                if pending_cb is not None:
+                    pending_cb(page)
+                if free_frames:
+                    frame = free_frames.pop()
+                    pt_entries[page] = PageTableEntry(
+                        frame=frame, faulted_at=fault_no
+                    )
+                    service = service_in
+                else:
+                    if lru_chain:
+                        victim = lru_chain.popitem(last=False)[0]
+                    else:
+                        victim = select_victim()
+                    # Inlined page_table.invalidate (same exception).
+                    victim_pte = pt_entries.pop(victim, None)
+                    if victim_pte is None or not victim_pte.valid:
+                        raise KeyError(
+                            f"page {victim:#x} has no valid mapping"
+                        )
+                    # Inlined frame_pool.unmap_page; the freed frame is
+                    # the one map_page would pop straight back.
+                    try:
+                        frame = frame_of_page.pop(victim)
+                    except KeyError:
+                        raise KeyError(
+                            f"page {victim:#x} is not resident"
+                        ) from None
+                    # Inlined hierarchy.shootdown: a plain scan of the
+                    # victim's L1 sets, then an indexed pass only when
+                    # some SM holds it.
+                    victim_sets = l1_sets_by_index[victim & l1_mask]
+                    for held in victim_sets:
+                        if victim in held:
+                            for s in range(num_sms):
+                                held = victim_sets[s]
+                                if victim in held:
+                                    del held[victim]
+                                    l1_shootdowns[s] += 1
+                            break
+                    held = l2_sets[victim & l2_mask]
+                    if victim in held:
+                        del held[victim]
+                        l2_shootdowns += 1
+                    evictions += 1
+                    # page_table.install: re-key the victim's entry — a
+                    # tombstone plus a fresh entry is observably the same.
+                    victim_pte.frame = frame
+                    victim_pte.faulted_at = fault_no
+                    victim_pte.walk_hits = 0
+                    pt_entries[page] = victim_pte
+                    service = service_evict
+                frame_of_page[page] = frame
+                page_of_frame[frame] = page
+                if lru_chain is not None:
+                    lru_chain[page] = None
+                else:
+                    on_page_in(page, fault_no)
             # The shootdown of the victim may have shrunk these sets, so
             # re-check occupancy before inserting (inlined hierarchy.fill).
             if len(entries) >= l1_assoc:
@@ -399,12 +501,32 @@ class UVMSimulator:
             fault_queue_free = begin + service
             warp_ready[warp] = fault_queue_free
 
+        # ``index`` events went round-robin over the warps.
+        accesses = [0] * num_sms
+        full_rounds, rest = divmod(index, total_warps)
+        for w in range(total_warps):
+            accesses[sm_of_warp[w]] += full_rounds + (w < rest)
+        l1_misses = [accesses[sm] - l1_hits[sm] for sm in range(num_sms)]
+        l2_misses = sum(l1_misses) - l2_hits
         for sm, tlb in enumerate(self.hierarchy.l1_tlbs):
             tlb.add_batched_stats(l1_hits[sm], l1_misses[sm], l1_evictions[sm])
+            tlb.stats.shootdowns += l1_shootdowns[sm]
         self.hierarchy.l2_tlb.add_batched_stats(l2_hits, l2_misses, l2_evictions)
-        walker.walks += walks
+        self.hierarchy.l2_tlb.stats.shootdowns += l2_shootdowns
+        walker.walks += l2_misses
         walker.hits += walk_hits
-        walker.faults += walk_faults
+        walker.faults += l2_misses - walk_hits
+        if fused:
+            compulsory = len(first_touches)
+            stats.faults = fault_no
+            stats.compulsory_faults += compulsory
+            stats.capacity_faults += capacity_faults
+            stats.evictions += evictions
+            stats.bytes_migrated_in += (compulsory + capacity_faults) * page_size
+            stats.bytes_evicted_out += evictions * page_size
+            ever_touched.update(first_touches)
+            frame_pool.residency = Bitmap()
+            frame_pool.residency.update(list(frame_of_page))
 
         return max(max(warp_ready, default=0), max(sm_issue_time, default=0))
 

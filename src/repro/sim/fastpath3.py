@@ -1,15 +1,16 @@
 """Fastpath v3 — the relaxed, *metric-equivalent* batch kernel.
 
-Tiers 0–2 are bit-identical by construction; this tier is not.  It
+Tiers 0 and 1 are bit-identical by construction; this tier is not.  It
 trades a small, tolerance-gated drift in ``key_metrics()`` for batching
-the one path v2 still replays scalar — **eviction chains** — and is
-therefore **opt-in only**: the env var never selects it
+**eviction chains**, the path the removed bit-identical v2 kernel
+(DESIGN §9) still replayed scalar, and is therefore **opt-in only**:
+the env var never selects it
 (:func:`repro.sim.config.resolve_fastpath_level` clamps the ambient
-path to tier 2) and the differential harness compares it against the
+path to tier 2, which runs tier 1) and the differential harness compares it against the
 reference under declared per-metric tolerances plus golden *trend*
 checks rather than equality (DESIGN §13, ``repro.check.diffrun``).
 
-Everything classification-side is inherited from v2 and stays exact:
+Everything classification-side comes from v2 and stays exact:
 distinct-page segments, the presence-masked candidate split with
 pressure-refinement proofs, live-probed flagged events, eviction flips,
 deferred TLB fills with closed-form batched eviction counts, and the
@@ -50,9 +51,9 @@ eviction-independent), ``prefetches``, HIR transfer boundaries (every
 16th fault) and HPE interval advances (every 64th) relative to the
 fault sequence, and per-fault PCIe byte accounting.
 
-Fallback: :func:`eligible` mirrors v2's conditions (no obs, no
-sanitizer, no offline policy, no prefetching) plus flat-array bounds;
-ineligible runs drop to tier 2 then tier 1 in
+Fallback: :func:`eligible` requires no obs, no sanitizer, no offline
+policy and no prefetching, plus flat-array bounds; ineligible runs drop
+to tier 1 in
 :meth:`repro.sim.engine.UVMSimulator.run`, which records the executed
 tier in ``extras["fastpath"]``.
 """
@@ -129,12 +130,12 @@ def numpy_available() -> bool:
 def eligible(sim: "UVMSimulator", trace: Optional[Sequence[int]] = None) -> bool:
     """Can ``sim`` (replaying ``trace``) run the relaxed v3 kernel?
 
-    The v2 conditions apply unchanged — observation and sanitizing need
+    Observation and sanitizing need
     live per-event state, offline policies consume trace positions, and
     fault-around prefetching migrates pages the classifier cannot see.
     On top of those, v3 indexes flat arrays by page number, so page
     values must stay under :data:`MAX_PAGE` and the SM count under
-    :data:`MAX_SMS`.  Ineligible runs fall back to tier 2 then tier 1.
+    :data:`MAX_SMS`.  Ineligible runs fall back to tier 1.
     """
     if (
         np is None
@@ -467,8 +468,9 @@ def replay(sim: "UVMSimulator", trace: Sequence[int]) -> int:
         """Service one scalar fault sans TLB fill; return (frame, victim,
         shootdown-removal mask, bytes moved).
 
-        Inlines ``UVMDriver.service_fault`` exactly as v2 does, with the
-        flat residency view kept live.
+        Inlines ``UVMDriver.service_fault`` for the obs-free,
+        checker-free, prefetch-free driver, with the flat residency view
+        kept live.
         """
         nonlocal fault_no, d_comp, d_cap, d_evict, d_bin, d_bout
         if pend_l2_p:

@@ -129,8 +129,8 @@ class TLB:
         caller may probe/mutate the set dictionaries directly — with
         exactly the :meth:`lookup`/:meth:`insert` update rules — provided
         it reports the hit/miss/eviction counts it accumulated through
-        :meth:`add_batched_stats` afterwards.  Shootdowns must still go
-        through :meth:`invalidate` (they are counted live).
+        :meth:`add_batched_stats` afterwards.  A caller that removes
+        shootdown victims itself adds them to ``stats.shootdowns`` too.
         """
         return (
             self._sets,

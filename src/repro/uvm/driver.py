@@ -109,14 +109,15 @@ class UVMDriver:
         self._ever_touched: Bitmap = Bitmap()
 
     def fastpath_state(self) -> tuple[Bitmap, int]:
-        """Internals for the batch kernels (:mod:`repro.sim.fastpath2`,
-        :mod:`repro.sim.fastpath3`).
+        """Internals for loops that service faults themselves (the
+        tier-1 fused fault service, :mod:`repro.sim.fastpath3`).
 
         Returns ``(ever_touched, page_size_bytes)``.  The caller may
         replay faults itself — with exactly the :meth:`service_fault`
         update rules for an obs-free, checker-free, prefetch-free driver
         — provided it folds the fault/eviction/byte counters back into
-        :attr:`stats` afterwards and keeps ``ever_touched`` current.
+        :attr:`stats` and brings ``ever_touched`` up to date before the
+        replay returns.
         """
         return self._ever_touched, self.page_size_bytes
 

@@ -54,7 +54,7 @@ def test_closure_covers_sim_and_excludes_harness() -> None:
     modules = {
         analysis.program.functions[q].module for q in analysis.closure
     }
-    for expected in ("repro.sim.engine", "repro.sim.fastpath2",
+    for expected in ("repro.sim.engine", "repro.sim.fastpath3",
                      "repro.policies.lru", "repro.tlb.tlb",
                      "repro.uvm.driver", "repro.core.hpe"):
         assert expected in modules, expected
@@ -121,14 +121,14 @@ def test_constants_are_fingerprinted(tmp_path: Path) -> None:
     """Module-level tuning constants are behaviour: pseudo-node hashes."""
     dst = _copy_package(tmp_path)
     _edit(
-        dst / "sim" / "fastpath2.py",
+        dst / "sim" / "fastpath3.py",
         "MAX_REFINE_KEYS = ",
         "MAX_REFINE_KEYS = 1 + ",
         count=1,
     )
     report = flow.check_staleness(flow.analyze(package_root=dst))
     assert not report.ok
-    assert "repro.sim.fastpath2.__constants__" in report.changed
+    assert "repro.sim.fastpath3.__constants__" in report.changed
 
 
 def test_rep010_fires_on_unhashed_spec_field(tmp_path: Path) -> None:

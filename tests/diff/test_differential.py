@@ -1,9 +1,9 @@
-"""The differential matrix: three simulator tiers, zero drift.
+"""The differential matrix: two simulator tiers, zero drift.
 
 Every synthetic trace generator × every policy × three fixed seeds ×
 two oversubscription rates, replayed through the reference loop
-(tier 0), the flattened v1 loop (tier 1), and the vectorized batch
-kernel (tier 2), asserting bit-identical ``key_metrics()``, eviction
+(tier 0) and the flattened loop with its fused fault service (tier 1),
+asserting bit-identical ``key_metrics()``, eviction
 *sequences*, final structural state, and — for observed runs — the
 event stream.
 
@@ -64,7 +64,7 @@ def _fail_with_shrunk_repro(trace, policy: str, capacity: int,
 @pytest.mark.parametrize("kind", sorted(GENERATORS))
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_tiers_bit_identical(kind: str, policy: str) -> None:
-    """reference == v1 == v2 on every observable, all seeds and rates."""
+    """reference == tier 1 on every observable, all seeds and rates."""
     for seed in SEEDS:
         trace = build(kind, seed, MATRIX_LENGTH)
         for rate in RATES:
@@ -80,9 +80,9 @@ def test_tiers_bit_identical(kind: str, policy: str) -> None:
 def test_observed_runs_stay_identical(policy: str) -> None:
     """With an event sink attached, all tiers emit the same stream.
 
-    Observed runs are not batch-eligible, so this doubles as the
-    regression test that tier 2 *falls back* (rather than drifts) when
-    observability is on.
+    Observed runs bypass the fused fault service and call
+    ``driver.service_fault`` per fault, so this doubles as the check
+    that the two tier-1 fault paths agree.
     """
     trace = build("phased", SEEDS[0], MATRIX_LENGTH)
     capacity = _capacity(trace, 0.75)
@@ -94,7 +94,8 @@ def test_observed_runs_stay_identical(policy: str) -> None:
 
 @pytest.mark.parametrize("policy", ("lru", "hpe", "clock-pro"))
 def test_sanitized_runs_stay_identical(policy: str) -> None:
-    """``--sanitize`` keeps all tiers bit-identical (v2 falls back)."""
+    """``--sanitize`` keeps the tiers bit-identical (tier 1 then calls
+    ``driver.service_fault`` per fault)."""
     trace = build("strided", SEEDS[1], MATRIX_LENGTH)
     capacity = _capacity(trace, 0.5)
     report = compare_levels(trace.pages, policy, capacity, sanitize=True,
@@ -106,7 +107,7 @@ def test_eviction_sequences_are_captured() -> None:
     """The recorder sees evictions on every tier (not vacuous equality)."""
     trace = build("strided", SEEDS[0], MATRIX_LENGTH)
     capacity = _capacity(trace, 0.5)
-    for level in (0, 1, 2):
+    for level in (0, 1):
         run = run_level(trace.pages, "lru", capacity, level)
         assert len(run.evictions) == run.metrics["driver"]["evictions"]
         assert run.evictions, "expected evictions at 50% oversubscription"

@@ -72,7 +72,7 @@ def test_missing_snapshot_is_reported(tmp_path) -> None:
 
 
 def test_exact_goldens_byte_identical_to_manifest() -> None:
-    """The v1/v2 snapshot *bytes* are pinned, not just their meaning.
+    """The exact snapshot *bytes* are pinned, not just their meaning.
 
     ``MANIFEST.sha256`` was recorded before the struct-of-arrays core
     landed; tiers 0-2 must stay bit-identical through it, so the exact

@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check.difftraces import build
+from repro.check.invariants import InvariantChecker
+from repro.experiments.runner import POLICY_NAMES, make_policy
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.ideal import IdealPolicy
 from repro.policies.lru import LRUPolicy
@@ -209,3 +212,78 @@ class TestPrefetchIntegration:
         result = simulate(trace, LRUPolicy(), 16, config=small_config(),
                           prefetch_degree=7)
         assert result.driver.faults > 0  # ran to completion within capacity
+
+
+class TestTierSelection:
+    """Tier 1 is the default; a tier-2 request records that tier 1 ran."""
+
+    TRACE = [x % 24 for x in range(300)]
+
+    def test_default_run_executes_tier_1(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
+        result = simulate(self.TRACE, LRUPolicy(), 12, config=small_config())
+        assert result.extras["fastpath"] == {"requested": 1, "executed": 1}
+
+    def test_env_tier_2_request_runs_tier_1(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_FASTPATH", "2")
+        result = simulate(self.TRACE, LRUPolicy(), 12, config=small_config())
+        assert result.extras["fastpath"] == {"requested": 2, "executed": 1}
+
+    def test_spec_tier_2_request_runs_tier_1(self):
+        from repro.experiments.runner import run_spec
+        from repro.scenarios.spec import ScenarioSpec
+
+        spec = ScenarioSpec(workload="STN", policy="hpe", rate=0.75,
+                            scale=0.25, fastpath=2)
+        result = run_spec(spec, use_cache=False)
+        assert result.extras["fastpath"] == {"requested": 2, "executed": 1}
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_fused_fault_service_leaves_a_consistent_simulator(policy_name):
+    """After an unsanitized tier-1 run the sanitizer's full sweep passes.
+
+    The fused fault service updates the frame maps, page table, TLBs and
+    counters itself and resyncs the residency bitmap and first-touch set
+    once at the end; a missed resync fails the sweep or the first-touch
+    check here.
+    """
+    trace = build("phased", 11, 1024)
+    capacity = max(8, int(trace.footprint_pages * 0.5))
+    sim = UVMSimulator(make_policy(policy_name, capacity), capacity,
+                       sanitize=False)
+    result = sim.run(list(trace.pages), fast=1)
+    assert result.extras["fastpath"]["executed"] == 1
+    assert result.evictions > 0
+    assert InvariantChecker(sim).check_all() > 0
+    assert set(sim.driver._ever_touched) == set(trace.pages)
+
+
+@pytest.mark.parametrize("policy_name", ("lru", "hpe", "arc"))
+def test_tier_1_reproduces_every_translation_counter(policy_name):
+    """Tier 1 derives miss/walk counts after its loop and folds its
+    eviction and shootdown counts once; every per-TLB, walker and driver
+    counter must still equal the reference loop's."""
+    import dataclasses
+
+    config = GPUConfig(
+        num_sms=3, warps_per_sm=4,
+        l1_tlb=TLBConfig(entries=8, associativity=2, latency_cycles=1),
+        l2_tlb=TLBConfig(entries=16, associativity=4, latency_cycles=10),
+    )
+    trace = build("strided", 5, 1500)
+    capacity = max(8, int(trace.footprint_pages * 0.5))
+    counters = []
+    for level in (0, 1):
+        sim = UVMSimulator(make_policy(policy_name, capacity), capacity,
+                           config)
+        sim.run(list(trace.pages), fast=level)
+        tlbs = [*sim.hierarchy.l1_tlbs, sim.hierarchy.l2_tlb]
+        counters.append((
+            [dataclasses.asdict(tlb.stats) for tlb in tlbs],
+            (sim.walker.walks, sim.walker.hits, sim.walker.faults),
+            dataclasses.asdict(sim.driver.stats),
+        ))
+    assert counters[0] == counters[1]
+    assert counters[1][2]["evictions"] > 0
+    assert sum(stats["shootdowns"] for stats in counters[1][0]) > 0

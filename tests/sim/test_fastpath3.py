@@ -74,8 +74,9 @@ class TestFallbackRecording:
         assert result.extras["fastpath"] == {"requested": 3, "executed": 3}
 
     def test_env_var_cannot_select_the_relaxed_tier(self, monkeypatch) -> None:
-        """REPRO_SIM_FASTPATH=3 clamps to tier 2: ambient config must
-        never silently relax results that identities treat as exact."""
+        """REPRO_SIM_FASTPATH=3 clamps to tier 2 (which runs tier 1):
+        ambient config must never silently relax results that
+        identities treat as exact."""
         monkeypatch.setenv("REPRO_SIM_FASTPATH", "3")
         assert resolve_fastpath_level(None) == 2
         sim = _sim()
