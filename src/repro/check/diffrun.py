@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
+from repro.policies.base import EvictionPolicy
 from repro.policies.lru import LRUPolicy
 from repro.sim.engine import UVMSimulator
 from repro.sim.results import SimulationResult
@@ -145,6 +146,41 @@ def _structural_state(sim: UVMSimulator) -> tuple:
     return frame_map, page_table, orders
 
 
+def _record_victims(policy: EvictionPolicy, log: "list[int]") -> None:
+    """Log every victim ``policy`` picks, once, on every fault path.
+
+    Tier 0 and the per-fault driver path call ``select_victim``; the
+    fused fault service calls ``on_fault``, whose default adapter calls
+    ``self.select_victim()`` while an override (HPE's) may pick the
+    victim without it.  So ``on_fault`` logs its returned victim and
+    ``select_victim`` logs only outside an ``on_fault`` call.
+    """
+    original_select = policy.select_victim
+    original_on_fault = policy.on_fault
+    depth = [0]
+
+    def recording_select() -> int:
+        victim = original_select()
+        if not depth[0]:
+            log.append(victim)
+        return victim
+
+    def recording_on_fault(
+        page: int, fault_number: int, evict: bool
+    ) -> Optional[int]:
+        depth[0] += 1
+        try:
+            victim = original_on_fault(page, fault_number, evict)
+        finally:
+            depth[0] -= 1
+        if victim is not None:
+            log.append(victim)
+        return victim
+
+    policy.select_victim = recording_select  # type: ignore[method-assign]
+    policy.on_fault = recording_on_fault  # type: ignore[method-assign]
+
+
 def run_level(
     pages: Sequence[int],
     policy_name: str,
@@ -167,14 +203,7 @@ def run_level(
         # inlined pop, without perturbing the exact-type specialization.
         policy._chain = _RecordingChain(eviction_log)
     else:
-        original_select = policy.select_victim
-
-        def recording_select() -> int:
-            victim = original_select()
-            eviction_log.append(victim)
-            return victim
-
-        policy.select_victim = recording_select  # type: ignore[method-assign]
+        _record_victims(policy, eviction_log)
     sink = MemoryEventSink() if observe else None
     observation = Observation(trace=sink) if observe else None  # type: ignore[arg-type]
     simulator = UVMSimulator(policy, capacity, obs=observation,

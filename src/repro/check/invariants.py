@@ -15,10 +15,9 @@ structured state snapshot, so a failure pinpoints *which* rule broke and
 bar three experiment layers later.
 
 The checker is strictly read-only: it never calls an API that bumps a
-statistic (e.g. it reads ``HistoryBuffer._records`` instead of
-``primary_mask()``, which counts lookups), so a sanitized run's
-``key_metrics()`` is bit-identical to an unsanitized one — the test
-suite and CI both assert this.
+statistic or moves state, so a sanitized run's ``key_metrics()`` is
+bit-identical to an unsanitized one — the test suite and CI both
+assert this.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.core import soa
 from repro.core.hir import COUNTER_MAX as HIR_COUNTER_MAX
 from repro.core.hpe import HPEPolicy
-from repro.core.pageset import COUNTER_CAP, PageSetEntry, SetPart
+from repro.core.pageset import COUNTER_CAP, PageSetEntry, SetPart, primary_key
 
 if TYPE_CHECKING:
     from repro.sim.engine import UVMSimulator
@@ -508,7 +507,7 @@ class InvariantChecker:
             if entry.part is SetPart.SECONDARY
         ]
         for secondary in secondaries:
-            primary = chain.get((secondary.tag, SetPart.PRIMARY))
+            primary = chain.get(primary_key(secondary.tag))
             if primary is None:
                 continue  # primary fully evicted; history keeps its mask
             if primary.member_mask & secondary.member_mask:
@@ -626,8 +625,7 @@ class InvariantChecker:
         """History records hold non-empty masks within the set width."""
         self._tick()
         full_mask = policy._full_mask
-        # Read the raw dict: HistoryBuffer.primary_mask() counts lookups
-        # and the sanitizer must not perturb statistics.
+        # The buffer exposes no iteration; read its records directly.
         for tag, mask in policy.history._records.items():
             if mask == 0 or mask & ~full_mask:
                 self._fail(

@@ -136,6 +136,9 @@ class DynamicAdjustment:
             StrategyKind.LRU: EvictionFIFO(fifo_depth),
             StrategyKind.MRU_C: EvictionFIFO(fifo_depth),
         }
+        # on_fault probes both FIFOs' page maps on every fault.
+        self._lru_evicted = self._fifos[StrategyKind.LRU]._pages
+        self._mru_c_evicted = self._fifos[StrategyKind.MRU_C]._pages
         self._wrong = {StrategyKind.LRU: 0, StrategyKind.MRU_C: 0}
         self._intervals_used = {StrategyKind.LRU: 0, StrategyKind.MRU_C: 0}
         #: Intervals survived by each strategy in its latest completed stint.
@@ -163,11 +166,16 @@ class DynamicAdjustment:
     def on_fault(self, page: int) -> None:
         """Check ``page`` against the wrong-eviction FIFOs; maybe adjust."""
         self._fault_count += 1
-        for kind, fifo in self._fifos.items():
-            if fifo.take(page):
-                self._wrong[kind] += 1
-                self.stats.wrong_evictions_total += 1
-                break
+        # LRU's FIFO first, then MRU-C's: a page held by both counts once,
+        # against LRU.
+        if page in self._lru_evicted:
+            del self._lru_evicted[page]
+            self._wrong[StrategyKind.LRU] += 1
+            self.stats.wrong_evictions_total += 1
+        elif page in self._mru_c_evicted:
+            del self._mru_c_evicted[page]
+            self._wrong[StrategyKind.MRU_C] += 1
+            self.stats.wrong_evictions_total += 1
         if not self.enabled:
             return
         if self._wrong[self._strategy] >= self.wrong_eviction_threshold:

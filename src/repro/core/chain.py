@@ -33,10 +33,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, Optional
 
-from repro.core.pageset import PageSetEntry, SetPart
+from repro.core.pageset import PageSetEntry, SetKey
 from repro.core.soa import MIDDLE, NEW, OLD, ArrayChain
-
-SetKey = tuple[int, SetPart]
 
 
 class PageSetChain:

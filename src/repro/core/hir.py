@@ -113,6 +113,10 @@ class HIRCache:
         self.associativity = associativity
         self.num_sets = num_sets
         self._set_mask = num_sets - 1
+        # Cached geometry for record_hit, the per-walk-hit hot path.
+        self._shift = geometry.shift
+        self._offset_mask = geometry.offset_mask
+        self._page_set_size = geometry.page_set_size
         self._sets: list[dict[int, _HIREntry]] = [dict() for _ in range(num_sets)]
         #: Tags in first-touch order since the last flush.
         self._touch_order: list[int] = []
@@ -129,20 +133,23 @@ class HIRCache:
         Returns ``False`` when the information was dropped because every
         way of the target set holds a different tag (way conflict).
         """
-        self.stats.records += 1
-        tag, offset = self.geometry.split(page)
+        stats = self.stats
+        stats.records += 1
+        tag = page >> self._shift
         lines = self._sets[tag & self._set_mask]
         entry = lines.get(tag)
         if entry is None:
             if len(lines) >= self.associativity:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 return False
-            entry = _HIREntry(tag, self.geometry.page_set_size)
+            entry = _HIREntry(tag, self._page_set_size)
             lines[tag] = entry
             self._touch_order.append(tag)
-        counter = entry.counters[offset]
+        counters = entry.counters
+        offset = page & self._offset_mask
+        counter = counters[offset]
         if counter < COUNTER_MAX:
-            entry.counters[offset] = counter + 1
+            counters[offset] = counter + 1
         return True
 
     def record_hits(self, pages: "list[int]") -> None:

@@ -21,7 +21,6 @@ class HistoryBuffer:
 
     def __init__(self) -> None:
         self._records: dict[int, int] = {}
-        self.lookups = 0
 
     def record(self, tag: int, primary_mask: int) -> bool:
         """Remember the first division of ``tag``.
@@ -36,7 +35,6 @@ class HistoryBuffer:
 
     def primary_mask(self, tag: int) -> Optional[int]:
         """Return the first-division primary mask for ``tag``, if any."""
-        self.lookups += 1
         return self._records.get(tag)
 
     def __contains__(self, tag: int) -> bool:

@@ -23,7 +23,7 @@ using HIR" (used in the Section V-A sensitivity studies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.adjustment import DynamicAdjustment
 from repro.core.chain import PageSetChain
@@ -35,12 +35,7 @@ from repro.core.classifier import (
 )
 from repro.core.hir import HIRCache
 from repro.core.history import HistoryBuffer
-from repro.core.pageset import (
-    PageSetEntry,
-    SetPart,
-    primary_key,
-    secondary_key,
-)
+from repro.core.pageset import PageSetEntry, SetKey, SetPart
 from repro.core.strategies import (
     SearchResult,
     StrategyKind,
@@ -153,6 +148,9 @@ class HPEPolicy(EvictionPolicy):
         #: The chain's plain-list backing store, called directly on the
         #: per-fault paths (one method hop instead of two).
         self._slots = self.chain.slots
+        # Routing binds the two dict probes it makes per fault.
+        self._history_get = self.history._records.get
+        self._slot_get, self._payloads = self._slots.lookup_state()
 
     # ------------------------------------------------------------------
     # Observability
@@ -231,40 +229,38 @@ class HPEPolicy(EvictionPolicy):
     # Routing (Fig. 6 steps 1–4)
     # ------------------------------------------------------------------
 
-    def _route_entry(
+    def _route(
         self, tag: int, offset: int
-    ) -> tuple[tuple[int, SetPart], Optional[PageSetEntry], int, bool]:
-        """Return ``(chain key, live entry or None, member mask for
-        creation, divided flag)``.
+    ) -> tuple[SetKey, Optional[int], int, bool]:
+        """Return ``(chain key, live slot or None, member mask for
+        creation, divided flag for creation)``.
 
         Consults the history buffer first (the page set was previously
         evicted), then any live divided primary, defaulting to the
-        undivided primary.  The live entry comes back with the key so
-        callers need no second chain lookup.
+        undivided primary: one history probe and — outside divided sets
+        — one chain probe.  The divided flag is only ever set for a
+        primary (a secondary is never itself divided).
         """
-        chain_get = self._slots.get
-        hist = self.history.primary_mask(tag)
+        slot_get = self._slot_get
+        key = tag << 1
+        hist = self._history_get(tag)
         if hist is not None:
             if (hist >> offset) & 1:
-                key = primary_key(tag)
-                return key, chain_get(key), hist, True
-            key = secondary_key(tag)
-            return key, chain_get(key), self._full_mask & ~hist, True
-        key = primary_key(tag)
-        live = chain_get(key)
-        if (
-            live is not None
-            and live.divided
-            and not (live.member_mask >> offset) & 1
-        ):
-            key = secondary_key(tag)
-            return (
-                key,
-                chain_get(key),
-                self._full_mask & ~live.member_mask,
-                True,
-            )
-        return key, live, self._full_mask, False
+                return key, slot_get(key), hist, True
+            key |= 1
+            return key, slot_get(key), self._full_mask & ~hist, False
+        slot = slot_get(key)
+        if slot is not None:
+            live = self._payloads[slot]
+            if live.divided and not (live.member_mask >> offset) & 1:
+                key |= 1
+                return (
+                    key,
+                    slot_get(key),
+                    self._full_mask & ~live.member_mask,
+                    False,
+                )
+        return key, slot, self._full_mask, False
 
     def _maybe_divide(self, entry: PageSetEntry) -> None:
         if not self.config.enable_division:
@@ -292,6 +288,12 @@ class HPEPolicy(EvictionPolicy):
         tag, offset = self.geometry.split(page)
         self._apply_hit_touch(tag, offset, 1)
 
+    def walk_hit_listener(self) -> Callable[[int], None]:
+        """The HIR recorder itself when HIR is on (one call per hit)."""
+        if self._use_hir:
+            return self.hir.record_hit
+        return self.on_walk_hit
+
     def on_walk_hits(self, pages: Sequence[int]) -> None:
         if self._use_hir:
             self.hir.record_hits(list(pages))
@@ -303,13 +305,14 @@ class HPEPolicy(EvictionPolicy):
             apply_touch(tag, offset, 1)
 
     def _apply_hit_touch(self, tag: int, offset: int, count: int) -> None:
-        key, entry, _mask, _divided = self._route_entry(tag, offset)
-        if entry is None:
+        slot = self._route(tag, offset)[1]
+        if slot is None:
             # Stale information: the set was fully evicted between the hit
             # being recorded and the transfer arriving.  Drop it.
             return
+        entry = self._payloads[slot]
         entry.touch(count)
-        self._slots.promote(key)
+        self._slots.promote_slot(slot)
         if entry.counter >= self._division_threshold:
             self._maybe_divide(entry)
 
@@ -334,6 +337,17 @@ class HPEPolicy(EvictionPolicy):
                     self._apply_hit_touch(tag, offset, count)
 
     def on_page_in(self, page: int, fault_number: int) -> None:
+        self.on_fault(page, fault_number, False)
+
+    def on_fault(
+        self, page: int, fault_number: int, evict: bool
+    ) -> Optional[int]:
+        """Fused :meth:`select_victim` (when ``evict``) + page-in.
+
+        Victim first, then the Fig. 6 intake, exactly as the driver's
+        ``select_victim`` / ``on_page_in`` pair orders them.
+        """
+        victim = self._evict_next() if evict else None
         stats = self.stats
         stats.faults += 1
         adjustment = self.adjustment
@@ -343,19 +357,22 @@ class HPEPolicy(EvictionPolicy):
             self._ingest_hir()
         tag = page >> self._set_shift
         offset = page & self._offset_mask
-        key, entry, member_mask, divided = self._route_entry(tag, offset)
-        if entry is None:
+        key, slot, member_mask, divided = self._route(tag, offset)
+        if slot is None:
             entry = PageSetEntry(
                 tag=tag,
                 page_set_size=self._page_set_size,
-                part=key[1],
+                part=SetPart.SECONDARY if key & 1 else SetPart.PRIMARY,
                 member_mask=member_mask,
-                divided=divided and key[1] is SetPart.PRIMARY,
+                divided=divided,
             )
+            # A fresh entry lands at the MRU end of *new*: no promotion.
             self._slots.insert(key, entry)
+        else:
+            entry = self._payloads[slot]
+            self._slots.promote_slot(slot)
         entry.record_fault(offset)
         self._resident_pages += 1
-        self._slots.promote(key)
         # _maybe_divide acts only at or above the threshold.
         if entry.counter >= self._division_threshold:
             self._maybe_divide(entry)
@@ -366,6 +383,7 @@ class HPEPolicy(EvictionPolicy):
             obs = self._obs
             if obs is not None:
                 self._snapshot_interval(obs)
+        return victim
 
     # ------------------------------------------------------------------
     # Classification (lazy: runs when memory is first full)
@@ -427,10 +445,17 @@ class HPEPolicy(EvictionPolicy):
         return self.adjustment.strategy
 
     def select_victim(self) -> int:
+        return self._evict_next()
+
+    def _evict_next(self) -> int:
+        """Pick, forget and return the next victim (Section IV-D)."""
         if self.classification is None:
             self._classify_now()
         adjustment = self.adjustment
-        strategy = self._current_strategy()
+        strategy = self.config.forced_strategy
+        if strategy is None:
+            assert adjustment is not None
+            strategy = adjustment.strategy
         if strategy is StrategyKind.MRU_C:
             entry, comparisons = mru_c_scan(
                 self.chain,
@@ -438,7 +463,7 @@ class HPEPolicy(EvictionPolicy):
                 adjustment.jump if adjustment is not None else 0,
             )
         else:
-            entry = self.chain.lru_entry()
+            entry = self._slots.first_payload()
             comparisons = 1
         if entry is None:
             raise PolicyError("HPE chain is empty; nothing to evict")
@@ -449,10 +474,11 @@ class HPEPolicy(EvictionPolicy):
             stats.comparisons_max = comparisons
         offset = entry.lowest_resident_offset()
         page = (entry.tag << self._set_shift) + offset
-        entry.mark_evicted(offset)
+        # Inlined mark_evicted: a resident offset is a member offset.
+        entry.resident_mask &= ~(1 << offset)
         self._resident_pages -= 1
         if not entry.resident_mask:
-            self.chain.remove(entry.key)
+            self._slots.remove(entry.key)
             if entry.divided and entry.part is SetPart.PRIMARY:
                 self.history.record(entry.tag, entry.member_mask)
         if adjustment is not None:

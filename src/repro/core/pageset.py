@@ -12,7 +12,8 @@ has one entry in HPE's chain with four fields:
 
 Divided page sets exist as a *primary* (the pages touched before the
 counter saturated) and a *secondary* (the remaining pages); both carry the
-same numeric tag, so chain keys are ``(tag, part)`` pairs.
+same numeric tag, so a chain key packs both into one int,
+``tag << 1 | part`` (bit 0 set for a secondary).
 """
 
 from __future__ import annotations
@@ -30,25 +31,19 @@ class SetPart(enum.Enum):
     PRIMARY = "primary"
     SECONDARY = "secondary"
 
-    # Chain keys are (tag, SetPart) tuples hashed on every chain lookup;
-    # Enum.__hash__ is a Python-level call that shows up in simulation
-    # profiles.  Members are singletons (also under pickle, which resolves
-    # them by name), so the C-level identity hash is safe and much faster.
-    __hash__ = object.__hash__
+
+#: Chain key type: ``tag << 1 | part``, part bit 1 for a secondary.
+SetKey = int
 
 
-#: Chain key type: page-set tag plus primary/secondary discriminator.
-SetKey = tuple
-
-
-def primary_key(tag: int) -> tuple[int, SetPart]:
+def primary_key(tag: int) -> SetKey:
     """Return the chain key of the primary entry for ``tag``."""
-    return (tag, SetPart.PRIMARY)
+    return tag << 1
 
 
-def secondary_key(tag: int) -> tuple[int, SetPart]:
+def secondary_key(tag: int) -> SetKey:
     """Return the chain key of the secondary entry for ``tag``."""
-    return (tag, SetPart.SECONDARY)
+    return tag << 1 | 1
 
 
 @dataclass
@@ -74,9 +69,11 @@ class PageSetEntry:
             self.member_mask = (1 << self.page_set_size) - 1
 
     @property
-    def key(self) -> tuple[int, SetPart]:
+    def key(self) -> SetKey:
         """Chain key for this entry."""
-        return (self.tag, self.part)
+        if self.part is SetPart.SECONDARY:
+            return self.tag << 1 | 1
+        return self.tag << 1
 
     def touch(self, count: int = 1) -> None:
         """Record ``count`` touches, saturating at :data:`COUNTER_CAP`."""
@@ -101,7 +98,11 @@ class PageSetEntry:
         :meth:`mark_resident` for the per-fault hot path — identical
         semantics, one offset check instead of two.
         """
-        self._check_offset(offset)
+        if not (
+            0 <= offset < self.page_set_size
+            and (self.member_mask >> offset) & 1
+        ):
+            self._check_offset(offset)  # raises the precise error
         if self.counter < COUNTER_CAP:
             self.counter += 1
         bit = 1 << offset

@@ -190,13 +190,29 @@ class ArrayChain:
         slot = self._slot.get(key)
         if slot is None:
             raise KeyError(f"entry {key} is not in the chain")
-        delta = self.intervals - self._stamp[slot]
-        if delta <= 0:
-            return self._payloads[slot]
-        self._unlink(slot, MIDDLE if delta == 1 else OLD)
-        self._stamp[slot] = self.intervals
-        self._link_tail(slot, NEW)
+        self.promote_slot(slot)
         return self._payloads[slot]
+
+    def promote_slot(self, slot: int) -> None:
+        """:meth:`promote` for a live slot the caller already looked up."""
+        intervals = self.intervals
+        delta = intervals - self._stamp[slot]
+        if delta <= 0:
+            return
+        self._unlink(slot, MIDDLE if delta == 1 else OLD)
+        self._stamp[slot] = intervals
+        self._link_tail(slot, NEW)
+
+    def lookup_state(self) -> Tuple[Any, List[Any]]:
+        """``(slot_get, payloads)`` for callers that route by slot.
+
+        ``slot_get(key)`` is the bound ``key -> slot`` dict lookup
+        (``None`` when absent) and ``payloads[slot]`` the entry; both
+        stay valid for the chain's lifetime (growth extends the lists in
+        place).  Pass a found slot to :meth:`promote_slot`.  Callers
+        must not mutate either.
+        """
+        return self._slot.get, self._payloads
 
     def remove(self, key: Any) -> Any:
         """Remove ``key`` from whichever partition holds it."""

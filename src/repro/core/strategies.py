@@ -34,8 +34,8 @@ class StrategyKind(enum.Enum):
 
     # DynamicAdjustment keys its per-strategy dicts by kind on every
     # eviction and fault; Enum.__hash__ is a Python-level call, and
-    # members are singletons (also under pickle), so the C-level
-    # identity hash is safe — as for SetPart.
+    # members are singletons (also under pickle, which resolves them by
+    # name), so the C-level identity hash is safe and much faster.
     __hash__ = object.__hash__
 
 

@@ -20,7 +20,7 @@ Observable events
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 class EvictionPolicy(abc.ABC):
@@ -52,8 +52,34 @@ class EvictionPolicy(abc.ABC):
     def on_page_in(self, page: int, fault_number: int) -> None:
         """A fault for ``page`` was serviced; the page is now resident."""
 
+    def on_fault(
+        self, page: int, fault_number: int, evict: bool
+    ) -> Optional[int]:
+        """Service one fault's policy work; return the victim, if any.
+
+        The tier-1 fused fault service's single policy entry per fault.
+        ``evict`` is ``True`` when memory is full, and the returned page
+        is then evicted by the caller.  The default runs the driver's
+        three hooks in the driver's order — :meth:`on_fault_pending`,
+        :meth:`select_victim` (only when ``evict``), :meth:`on_page_in`
+        — and :meth:`UVMDriver.service_fault` keeps calling those hooks
+        itself, so it is the oracle an override must match.
+        """
+        self.on_fault_pending(page)
+        victim = self.select_victim() if evict else None
+        self.on_page_in(page, fault_number)
+        return victim
+
     def on_walk_hit(self, page: int) -> None:
         """The walker hit ``page``'s PTE (page is resident)."""
+
+    def walk_hit_listener(self) -> Callable[[int], None]:
+        """The callable the walker notifies on each page-walk hit.
+
+        Defaults to :meth:`on_walk_hit`; a policy may hand out a cheaper
+        callable with the same effect (HPE's HIR recorder).
+        """
+        return self.on_walk_hit
 
     def on_walk_hits(self, pages: Sequence[int]) -> None:
         """Batched equivalent of :meth:`on_walk_hit` over ``pages``.

@@ -192,15 +192,19 @@ class ClockProPolicy(EvictionPolicy):
             raise PolicyError("CLOCK-Pro has no evictable page")
         node = self._hand_cold
         assert node is not None
+        nodes = self._nodes
+        cold = _Status.COLD
         # Bounded sweep: each promotion removes a cold page, each pass
-        # resets a reference bit, so the loop terminates.
-        for _ in range(4 * len(self._nodes) + 4):
+        # resets a reference bit, so the loop terminates.  Hot and
+        # non-resident nodes are passed over, stale or not, so only a
+        # cold node needs the stale-node probe.
+        for _ in range(4 * len(nodes) + 4):
             nxt = node.next
-            if self._nodes.get(node.page) is not node:
-                # Stale node pruned by a nested hand run; keep sweeping.
-                node = nxt
-                continue
-            if node.status is _Status.COLD:
+            if node.status is cold:
+                if nodes.get(node.page) is not node:
+                    # Stale node pruned by a nested hand run; skip it.
+                    node = nxt
+                    continue
                 if node.ref:
                     node.ref = False
                     if node.in_test:

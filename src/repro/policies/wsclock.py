@@ -51,27 +51,34 @@ class WSClockPolicy(EvictionPolicy):
     def select_victim(self) -> int:
         if not self._clock:
             raise PolicyError("WSClock has no resident pages to evict")
+        clock = self._clock
+        ref = self._ref
+        last_use_of = self._last_use
+        now = self._now
+        tau = self.tau_faults
         oldest_page = None
         oldest_use = None
         # At most two sweeps: the first clears reference bits, so the
         # second must find an idle page unless everything is in the
         # working set — then fall back to the least recently used.
-        for _ in range(2 * len(self._clock)):
-            page = self._clock[0]
-            self._clock.rotate(-1)
-            if page in self._ref:
-                self._ref.discard(page)
-                self._last_use[page] = self._now
+        for _ in range(2 * len(clock)):
+            page = clock[0]
+            clock.rotate(-1)
+            if page in ref:
+                ref.discard(page)
+                last_use_of[page] = now
                 continue
-            last_use = self._last_use.get(page, 0)
-            if self._now - last_use >= self.tau_faults:
-                self._clock.remove(page)
+            last_use = last_use_of.get(page, 0)
+            if now - last_use >= tau:
+                # The rotation left ``page`` at the right end, and a
+                # page is on the clock once: O(1) instead of remove().
+                clock.pop()
                 return self._evict(page)
             if oldest_use is None or last_use < oldest_use:
                 oldest_use = last_use
                 oldest_page = page
         assert oldest_page is not None
-        self._clock.remove(oldest_page)
+        clock.remove(oldest_page)
         return self._evict(oldest_page)
 
     def resident_count(self) -> int:

@@ -74,7 +74,7 @@ class UVMSimulator:
             self.page_table, self.config.walk_latency_cycles
         )
         if policy.uses_walk_hits:
-            self.walker.add_hit_listener(policy.on_walk_hit)
+            self.walker.add_hit_listener(policy.walk_hit_listener())
         self.driver = UVMDriver(
             frame_pool=self.frame_pool,
             page_table=self.page_table,
@@ -257,7 +257,8 @@ class UVMSimulator:
         re-keyed to the incoming page), a first-touch test against a
         local set, a shootdown probing only the victim's set in each TLB,
         the stock :class:`LRUPolicy` chain inlined behind an exact-type
-        check and every other policy through its bound callbacks.  Driver
+        check and every other policy through one
+        :meth:`EvictionPolicy.on_fault` call per fault.  Driver
         and TLB counters, the pool's residency bitmap and the driver's
         first-touch set are resynchronised once after the loop.  Other
         runs call ``driver.service_fault`` per fault.
@@ -307,7 +308,7 @@ class UVMSimulator:
         l2_hit_total = miss_latency + mem_latency
         walk_hit_total = miss_latency + walk_latency + mem_latency
         fault_begin_latency = miss_latency + walk_latency
-        listeners = walker._hit_listeners
+        hit_sink = walker.hit_sink()
         pt_entries = self.page_table._entries
 
         # Miss, walk and walk-fault counts are derived after the loop:
@@ -334,15 +335,7 @@ class UVMSimulator:
         fault_no = stats.faults
         capacity_faults = 0
         evictions = 0
-        # A base-class on_fault_pending is a documented no-op.
-        pending_cb = (
-            None
-            if getattr(policy.on_fault_pending, "__func__", None)
-            is EvictionPolicy.on_fault_pending
-            else policy.on_fault_pending
-        )
-        select_victim = policy.select_victim
-        on_page_in = policy.on_page_in
+        on_fault = policy.on_fault
         # Exact-type check: a subclass could override any hook, so only
         # the stock LRU policy gets its chain updates inlined.
         lru_chain = policy._chain if type(policy) is LRUPolicy else None
@@ -396,8 +389,8 @@ class UVMSimulator:
             if pte is not None and pte.valid:
                 walk_hits += 1
                 pte.walk_hits += 1
-                for listener in listeners:
-                    listener(page)
+                if hit_sink is not None:
+                    hit_sink(page)
                 frame = pte.frame
                 if len(entries) >= l1_assoc:
                     entries.popitem(last=False)
@@ -424,9 +417,13 @@ class UVMSimulator:
                 else:
                     touched.add(page)
                     first_touches.append(page)
-                if pending_cb is not None:
-                    pending_cb(page)
+                # One policy call per fault; the policy is done with the
+                # fault before the frame and page table change.
                 if free_frames:
+                    if lru_chain is not None:
+                        lru_chain[page] = None
+                    else:
+                        on_fault(page, fault_no, False)
                     frame = free_frames.pop()
                     pt_entries[page] = PageTableEntry(
                         frame=frame, faulted_at=fault_no
@@ -435,8 +432,9 @@ class UVMSimulator:
                 else:
                     if lru_chain:
                         victim = lru_chain.popitem(last=False)[0]
+                        lru_chain[page] = None
                     else:
-                        victim = select_victim()
+                        victim = on_fault(page, fault_no, True)
                     # Inlined page_table.invalidate (same exception).
                     victim_pte = pt_entries.pop(victim, None)
                     if victim_pte is None or not victim_pte.valid:
@@ -477,10 +475,6 @@ class UVMSimulator:
                     service = service_evict
                 frame_of_page[page] = frame
                 page_of_frame[frame] = page
-                if lru_chain is not None:
-                    lru_chain[page] = None
-                else:
-                    on_page_in(page, fault_no)
             # The shootdown of the victim may have shrunk these sets, so
             # re-check occupancy before inserting (inlined hierarchy.fill).
             if len(entries) >= l1_assoc:

@@ -213,7 +213,7 @@ def replay(sim: "UVMSimulator", trace: Sequence[int]) -> int:
     listeners = walker._hit_listeners
     if not listeners:
         hit_dispatch = 0
-    elif len(listeners) == 1 and listeners[0] == policy.on_walk_hit:
+    elif len(listeners) == 1 and listeners[0] == policy.walk_hit_listener():
         hit_dispatch = 1
     else:
         hit_dispatch = 2

@@ -75,6 +75,25 @@ class PageTableWalker:
         """Unsubscribe ``listener``; raises ``ValueError`` if absent."""
         self._hit_listeners.remove(listener)
 
+    def hit_sink(self) -> Optional[WalkHitListener]:
+        """One callable that notifies the current listeners in order.
+
+        ``None`` without listeners, the listener itself when there is
+        one — the single bound call a loop inlining :meth:`walk` makes
+        per hit.
+        """
+        listeners = tuple(self._hit_listeners)
+        if not listeners:
+            return None
+        if len(listeners) == 1:
+            return listeners[0]
+
+        def notify_all(page: int) -> None:
+            for listener in listeners:
+                listener(page)
+
+        return notify_all
+
     def walk(self, page: int) -> WalkOutcome:
         """Walk the page table for ``page``.
 

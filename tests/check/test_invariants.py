@@ -209,7 +209,7 @@ def test_chain_entry_filed_under_wrong_key(hpe_sim: UVMSimulator) -> None:
     key, _entry = _first_nonempty_partition(chain)[0]
     inner = chain._chain
     slot = inner._slot.pop(key)
-    wrong = (key[0] ^ 0x1, key[1])
+    wrong = key ^ 0b10  # another tag, same part
     inner._keys[slot] = wrong
     inner._slot[wrong] = slot
     _expect(hpe_sim, "chain-partition")

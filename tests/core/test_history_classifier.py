@@ -37,12 +37,6 @@ class TestHistoryBuffer:
         assert 1 in buffer and 2 in buffer and 3 not in buffer
         assert len(buffer) == 2
 
-    def test_lookup_counter(self):
-        buffer = HistoryBuffer()
-        buffer.primary_mask(1)
-        buffer.primary_mask(2)
-        assert buffer.lookups == 2
-
 
 class TestCensus:
     def test_rejects_bad_size(self):

@@ -1,5 +1,7 @@
 """Unit and behavioural tests for the assembled HPE policy."""
 
+import random
+
 import pytest
 
 from repro.core.classifier import Category
@@ -235,3 +237,90 @@ class TestTransferAccounting:
         policy.on_page_in(0, 1)
         policy.on_page_in(16, 2)
         assert policy.stats.hir_transfers == 2
+
+
+class TestFusedFaultLockstep:
+    """``on_fault`` == ``select_victim`` + ``on_page_in``, step by step.
+
+    Twin policies replay one seeded event stream: one through the fused
+    fault service's single entry (and its walk-hit sink), the other
+    through the driver's hooks.  Every victim and, after every event,
+    the chain, the history and all statistics must agree.
+    """
+
+    CAPACITY = 48
+    STEPS = 2500
+
+    @staticmethod
+    def _events(seed, tags, sparse):
+        """Seeded fault/walk-hit stream over ``tags`` page sets.
+
+        ``sparse`` keeps most touches on even offsets so page sets
+        saturate partly populated and divide.
+        """
+        rng = random.Random(seed)
+        for _ in range(TestFusedFaultLockstep.STEPS):
+            tag = rng.randrange(tags)
+            if sparse and rng.random() < 0.85:
+                offset = rng.randrange(0, 16, 2)
+            else:
+                offset = rng.randrange(16)
+            yield tag * 16 + offset
+
+    @staticmethod
+    def _observe(policy):
+        chain = policy.chain
+        adjustment = policy.adjustment
+        return (
+            [
+                (e.key, e.counter, e.bit_vector, e.resident_mask,
+                 e.member_mask, e.divided)
+                for e in chain.iter_lru_order()
+            ],
+            chain.partition_sizes(),
+            chain.intervals,
+            dict(policy.history._records),
+            policy.stats,
+            None if adjustment is None else adjustment.stats,
+            None if adjustment is None else adjustment.jump,
+            policy.hir.stats,
+            policy.resident_count(),
+            policy.consume_transfer_bytes(),
+        )
+
+    @pytest.mark.parametrize("seed", (3, 17, 101))
+    @pytest.mark.parametrize("config", [
+        HPEConfig(),
+        HPEConfig(division_threshold=12, transfer_interval=4),
+        HPEConfig(use_hir=False, division_threshold=12),
+        HPEConfig(forced_strategy=StrategyKind.LRU),
+        HPEConfig(forced_strategy=StrategyKind.MRU_C, jump_distance=2),
+    ], ids=["default", "divided", "ideal-hits", "forced-lru",
+            "forced-mru-c"])
+    def test_on_fault_matches_driver_hooks(self, seed, config):
+        fused = HPEPolicy(config)
+        hooks = HPEPolicy(config)
+        fused_hit = fused.walk_hit_listener()
+        resident = set()
+        fault = 0
+        sparse = config.division_threshold < 64
+        for page in self._events(seed, tags=12, sparse=sparse):
+            if page in resident:
+                fused_hit(page)
+                hooks.on_walk_hit(page)
+            else:
+                fault += 1
+                evict = len(resident) >= self.CAPACITY
+                victim = fused.on_fault(page, fault, evict)
+                expected = hooks.select_victim() if evict else None
+                assert victim == expected, f"fault {fault}"
+                hooks.on_page_in(page, fault)
+                if victim is not None:
+                    resident.discard(victim)
+                resident.add(page)
+            assert self._observe(fused) == self._observe(hooks), \
+                f"diverged at fault {fault}"
+        assert fused.stats.searches > 0
+        if sparse:
+            assert fused.stats.divisions > 0
+            assert len(fused.history) > 0

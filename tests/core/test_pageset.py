@@ -18,13 +18,14 @@ def entry(size=16, **kwargs):
 
 class TestKeys:
     def test_primary_key(self):
-        assert primary_key(5) == (5, SetPart.PRIMARY)
+        assert primary_key(5) == 5 << 1
 
     def test_secondary_key(self):
-        assert secondary_key(5) == (5, SetPart.SECONDARY)
+        assert secondary_key(5) == 5 << 1 | 1
 
     def test_entry_key_property(self):
-        assert entry().key == (0x10, SetPart.PRIMARY)
+        assert entry().key == primary_key(0x10)
+        assert entry(part=SetPart.SECONDARY).key == secondary_key(0x10)
 
 
 class TestCounter:

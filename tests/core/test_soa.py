@@ -19,7 +19,13 @@ from typing import Union
 import pytest
 
 from repro.core.chain import PageSetChain, ReferencePageSetChain
-from repro.core.pageset import PageSetEntry, SetPart
+from repro.core.pageset import (
+    PageSetEntry,
+    SetKey,
+    SetPart,
+    primary_key,
+    secondary_key,
+)
 from repro.core.soa import DENSE_LIMIT, Bitmap, numpy_available
 
 SEEDS = (1, 7, 42, 1337, 271828)
@@ -45,9 +51,16 @@ def _observe(chain: ChainLike) -> tuple:
     )
 
 
-def _random_key(rng: random.Random) -> tuple[int, SetPart]:
-    part = SetPart.PRIMARY if rng.random() < 0.8 else SetPart.SECONDARY
-    return (rng.randrange(64), part)
+def _random_key(rng: random.Random) -> SetKey:
+    tag = rng.randrange(64)
+    return primary_key(tag) if rng.random() < 0.8 else secondary_key(tag)
+
+
+def _entry_for(key: SetKey, page_set_size: int) -> PageSetEntry:
+    """A fresh entry whose ``.key`` is ``key``."""
+    part = SetPart.SECONDARY if key & 1 else SetPart.PRIMARY
+    return PageSetEntry(tag=key >> 1, page_set_size=page_set_size,
+                        part=part)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -61,10 +74,8 @@ def test_chain_matches_reference_on_random_op_sequences(seed: int) -> None:
         key = _random_key(rng)
         if op < 0.40:  # insert (fresh entries only; dup insert is an error)
             if key not in reference:
-                entry_a = PageSetEntry(tag=key[0], page_set_size=16,
-                                       part=key[1])
-                entry_b = PageSetEntry(tag=key[0], page_set_size=16,
-                                       part=key[1])
+                entry_a = _entry_for(key, 16)
+                entry_b = _entry_for(key, 16)
                 touches = rng.randrange(4)
                 entry_a.touch(touches)
                 entry_b.touch(touches)
@@ -107,12 +118,10 @@ def test_chain_survives_churn_and_regrowth(seed: int) -> None:
     fast = PageSetChain(page_set_size=8)
     reference = ReferencePageSetChain(page_set_size=8)
     for _ in range(20):
-        keys = [(tag, SetPart.PRIMARY) for tag in range(rng.randrange(1, 40))]
-        for tag, part in keys:
-            fast.insert(PageSetEntry(tag=tag, page_set_size=8, part=part))
-            reference.insert(
-                PageSetEntry(tag=tag, page_set_size=8, part=part)
-            )
+        keys = [primary_key(tag) for tag in range(rng.randrange(1, 40))]
+        for key in keys:
+            fast.insert(_entry_for(key, 8))
+            reference.insert(_entry_for(key, 8))
         if rng.random() < 0.5:
             fast.advance_interval()
             reference.advance_interval()
@@ -138,12 +147,11 @@ def test_promote_only_moves_once_per_interval() -> None:
         for tag in (1, 2, 3):
             chain.insert(PageSetEntry(tag=tag, page_set_size=4))
         order_before = [entry.key for entry in chain.iter_lru_order()]
-        chain.promote((1, SetPart.PRIMARY))  # already in new: no move
+        chain.promote(primary_key(1))  # already in new: no move
         assert [e.key for e in chain.iter_lru_order()] == order_before
         chain.advance_interval()
-        chain.promote((1, SetPart.PRIMARY))  # from middle: to MRU of new
-        assert [e.key for e in chain.iter_lru_order()][-1] == \
-            (1, SetPart.PRIMARY)
+        chain.promote(primary_key(1))  # from middle: to MRU of new
+        assert [e.key for e in chain.iter_lru_order()][-1] == primary_key(1)
 
 
 # -- Bitmap vs plain set --------------------------------------------------

@@ -92,7 +92,7 @@ def test_observed_runs_stay_identical(policy: str) -> None:
     assert report.runs[0].events, "observed run emitted no events"
 
 
-@pytest.mark.parametrize("policy", ("lru", "hpe", "clock-pro"))
+@pytest.mark.parametrize("policy", ("lru", "hpe", "clock-pro", "wsclock"))
 def test_sanitized_runs_stay_identical(policy: str) -> None:
     """``--sanitize`` keeps the tiers bit-identical (tier 1 then calls
     ``driver.service_fault`` per fault)."""
@@ -111,6 +111,20 @@ def test_eviction_sequences_are_captured() -> None:
         run = run_level(trace.pages, "lru", capacity, level)
         assert len(run.evictions) == run.metrics["driver"]["evictions"]
         assert run.evictions, "expected evictions at 50% oversubscription"
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_eviction_log_counts_every_victim_once(policy: str) -> None:
+    """One log entry per eviction on both tiers, whichever hook the
+    tier calls (``select_victim`` at tier 0, ``on_fault`` at tier 1,
+    whose default adapter calls ``select_victim`` itself)."""
+    trace = build("phased", SEEDS[1], MATRIX_LENGTH)
+    capacity = _capacity(trace, 0.5)
+    for level in (0, 1):
+        run = run_level(trace.pages, policy, capacity, level)
+        assert run.executed_tier == level
+        assert run.evictions, "expected evictions at 50% oversubscription"
+        assert len(run.evictions) == run.metrics["driver"]["evictions"]
 
 
 def test_default_length_matrix_spot_check() -> None:

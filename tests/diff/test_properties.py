@@ -32,7 +32,8 @@ LEVELS = (0, 1, 2)
 OFFSET_UNIT = 2048
 
 
-@pytest.mark.parametrize("policy", ("lru", "hpe", "clock-pro", "rrip"))
+@pytest.mark.parametrize("policy",
+                         ("lru", "hpe", "clock-pro", "rrip", "wsclock"))
 @pytest.mark.parametrize("level", LEVELS)
 def test_page_offset_translation_invariance(policy: str,
                                             level: int) -> None:

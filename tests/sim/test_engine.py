@@ -287,3 +287,39 @@ def test_tier_1_reproduces_every_translation_counter(policy_name):
     assert counters[0] == counters[1]
     assert counters[1][2]["evictions"] > 0
     assert sum(stats["shootdowns"] for stats in counters[1][0]) > 0
+
+
+@pytest.mark.parametrize("policy_name", ("hpe", "arc", "wsclock"))
+def test_fused_fault_service_makes_one_policy_call_per_fault(policy_name):
+    """Tier 1 reaches the policy once per fault, through ``on_fault``.
+
+    The driver's hooks run only inside it: the default adapter calls
+    them through the instance (so they count here), HPE's override not
+    at all."""
+    trace = build("phased", 23, 1024)
+    capacity = max(8, int(trace.footprint_pages * 0.5))
+    policy = make_policy(policy_name, capacity)
+    calls = {"on_fault": 0, "select_victim": 0, "on_page_in": 0,
+             "on_fault_pending": 0}
+
+    def counting(name):
+        method = getattr(policy, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in calls:
+        setattr(policy, name, counting(name))
+    sim = UVMSimulator(policy, capacity, sanitize=False)
+    result = sim.run(list(trace.pages), fast=1)
+    assert result.evictions > 0
+    assert calls["on_fault"] == result.faults
+    hooks = calls["select_victim"] + calls["on_page_in"]
+    if policy_name == "hpe":
+        assert hooks == 0
+    else:
+        assert calls["on_page_in"] == result.faults
+        assert calls["select_victim"] == result.evictions
